@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from . import groups as groups_mod
 from .errors import (
     BadConductor,
     BadParams,
@@ -458,8 +457,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--cap", type=int, default=None,
                         help="override enumeration caps")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled associativity checks")
     parser.add_argument("--deadline", type=float, default=None,
                         help="soft time limit in seconds (enforced on the "
                              "norm-relation search and subgroup enumeration)")
@@ -472,7 +469,6 @@ def main(argv=None) -> int:
     sub.add_parser("survey210")
 
     args = parser.parse_args(argv)
-    groups_mod.DEFAULT_SEED = args.seed
     deadline = Deadline(args.deadline) if args.deadline else None
 
     try:

@@ -23,12 +23,9 @@ from .errors import (
     NotNormal,
 )
 
-# Full O(n^3) associativity check below this order; random sampling above.
-FULL_ASSOC_LIMIT = 512
-ASSOC_SAMPLE_FACTOR = 10  # sampled triples = factor * n^2
 SUBGROUP_CAP = 2000  # all_subgroups / normal_subgroups enumeration cap
 ORDER_CAP = 6000  # largest Cayley table we agree to build
-DEFAULT_SEED = 0  # for sampled associativity checks (CLI --seed overrides)
+ASSOC_BLOCK_ROWS = 256  # rows compared at a time by the associativity check
 
 
 class Deadline:
@@ -75,7 +72,7 @@ class Group:
     )
 
     def __init__(self, table: np.ndarray, labels=None, origin: str = "raw", *,
-                 validate: bool = True, seed: Optional[int] = None):
+                 validate: bool = True):
         table = np.ascontiguousarray(table, dtype=np.int32)
         self.order = int(table.shape[0])
         self.table = table
@@ -92,7 +89,7 @@ class Group:
         self._center = None
         self._commutator = None
         if validate:
-            _validate_table(table, seed=seed)
+            _validate_table(table)
         inv = np.empty(self.order, dtype=np.int32)
         rows, cols = np.nonzero(table == 0)
         inv[rows] = cols
@@ -144,16 +141,18 @@ class Group:
         return self.element_orders()[g]
 
     def element_orders(self) -> list:
+        """Order of every element: step x <- x*g for all pending g at once."""
         if self._orders is None:
-            rows = self.rows
-            orders = [1] * self.order
-            for g in range(1, self.order):
-                x, k = g, 1
-                while x != 0:
-                    x = rows[x][g]
-                    k += 1
-                orders[g] = k
-            self._orders = orders
+            orders = np.ones(self.order, dtype=np.int64)
+            pending = np.arange(1, self.order)
+            x, k = pending, 1
+            while pending.size:
+                x = self.table[x, pending]
+                k += 1
+                done = x == 0
+                orders[pending[done]] = k
+                pending, x = pending[~done], x[~done]
+            self._orders = orders.tolist()
         return self._orders
 
     def is_abelian(self) -> bool:
@@ -221,9 +220,18 @@ class Group:
         return f"Group({self.origin}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray, seed: Optional[int] = None) -> None:
-    if seed is None:
-        seed = DEFAULT_SEED
+def _validate_table(table: np.ndarray) -> None:
+    """Raise NotAGroup unless table is a Latin square with identity 0 that
+    is associative.
+
+    Associativity is decided exactly, at every order, by Light's test
+    (Clifford & Preston, Algebraic Theory of Semigroups I, 1961, 1.2).  The
+    elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    products and contain 0, so once the right-multiplication closure of 0
+    under the elements checked is the whole table, the table is associative.
+    Each element checked is the lowest one outside that closure; in a group
+    it at least doubles the closure, so at most log2(n) are checked.
+    """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
     n = table.shape[0]
@@ -242,36 +250,36 @@ def _validate_table(table: np.ndarray, seed: Optional[int] = None) -> None:
     if not np.array_equal(srt, np.tile(ident.reshape(-1, 1), (1, n))):
         bad = int(np.nonzero((srt != ident.reshape(-1, 1)).any(axis=0))[0][0])
         raise NotAGroup("column is not a permutation", bad)
-    if n <= FULL_ASSOC_LIMIT:
-        for i in range(n):
-            lhs = table[table[i], :]
-            rhs = table[i][table]
-            if not np.array_equal(lhs, rhs):
-                j, k = np.argwhere(lhs != rhs)[0]
-                raise NotAGroup("associativity fails", (i, int(j), int(k)))
-    else:
-        rng = np.random.default_rng(seed)
-        remaining = ASSOC_SAMPLE_FACTOR * n * n
-        batch = 1 << 20
-        while remaining > 0:
-            m = min(batch, remaining)
-            i = rng.integers(0, n, m)
-            j = rng.integers(0, n, m)
-            k = rng.integers(0, n, m)
-            lhs = table[table[i, j], k]
-            rhs = table[i, table[j, k]]
-            bad = np.nonzero(lhs != rhs)[0]
-            if bad.size:
-                b = int(bad[0])
-                raise NotAGroup(
-                    "associativity fails", (int(i[b]), int(j[b]), int(k[b]))
-                )
-            remaining -= m
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    checked = []
+    while not inside.all():
+        a = int(np.argmin(inside))
+        _check_associative_at(table, a)
+        checked.append(a)
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[np.ix_(frontier, checked)]] = True
+            fresh &= ~inside
+            inside |= fresh
+            frontier = np.flatnonzero(fresh)
+
+
+def _check_associative_at(table: np.ndarray, a: int) -> None:
+    """Raise NotAGroup unless (x*a)*y == x*(a*y) for all x, y."""
+    col, row = table[:, a], table[a]
+    for start in range(0, table.shape[0], ASSOC_BLOCK_ROWS):
+        block = slice(start, start + ASSOC_BLOCK_ROWS)
+        lhs = table[col[block]]
+        rhs = table[block][:, row]
+        if not np.array_equal(lhs, rhs):
+            x, y = np.argwhere(lhs != rhs)[0]
+            raise NotAGroup("associativity fails", (start + int(x), a, int(y)))
 
 
 def build_group(mult_oracle: Callable[[int, int], int], n: int, *,
-                labels=None, origin: str = "oracle",
-                seed: Optional[int] = None) -> Group:
+                labels=None, origin: str = "oracle") -> Group:
     """Build a validated Group from a multiplication oracle on 0..n-1.
 
     The identity is relocated to index 0 if the oracle's identity differs.
@@ -301,7 +309,7 @@ def build_group(mult_oracle: Callable[[int, int], int], n: int, *,
         if labels is not None:
             labels = list(labels)
             labels[0], labels[e] = labels[e], labels[0]
-    return Group(table, labels=labels, origin=origin, seed=seed)
+    return Group(table, labels=labels, origin=origin)
 
 
 # -- subgroups --------------------------------------------------------------
@@ -573,19 +581,10 @@ def perfect_core(G: Group) -> Subgroup:
 
 
 def normal_closure(G: Group, seeds: Iterable[int]) -> Subgroup:
-    """Smallest normal subgroup containing the seed elements."""
-    gens = list(dict.fromkeys(int(x) for x in seeds))
-    while True:
-        H = subgroup_generated(G, gens)
-        sub = np.fromiter(H.elements, dtype=np.int64)
-        mask = np.zeros(G.order, dtype=bool)
-        mask[sub] = True
-        all_g = np.arange(G.order)
-        conj = G.table[G.table[np.ix_(all_g, sub)], G.inverse[all_g, None]]
-        outside = conj[~mask[conj]]
-        if outside.size == 0:
-            return H
-        gens.append(int(outside.flat[0]))
+    """Smallest normal subgroup containing the seed elements: the subgroup
+    generated by their conjugacy classes, a conjugation-invariant set."""
+    gens = {g for x in seeds for g in G.class_of(int(x))}
+    return subgroup_generated(G, sorted(gens))
 
 
 def normal_subgroups(G: Group, *, cap: int = SUBGROUP_CAP,

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
 from math import gcd
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from freerep.errors import DeadlineExceeded, NotAGroup
 from freerep.groups import (
     Deadline,
+    Group,
+    _validate_table,
     all_subgroups,
-    build_group,
     count_nth_roots,
     is_isomorphic,
+    normal_closure,
     normalizer,
     subgroup_generated,
     sylow_subgroup,
@@ -84,22 +93,168 @@ def test_deadline_cancels_enumeration():
         find_norm_relation(dihedral(12), deadline=token)
 
 
-def test_sampled_associativity_catches_big_broken_table():
-    # corrupt an intercalate of the C_600 table: stays Latin with identity,
-    # breaks associativity; the sampled check must catch it
-    n = 600
-    r1, r2 = 1, 1 + n // 2
-    c1, c2 = 2, 2 + n // 2
+def _broken_cyclic_table(n: int, r1: int, c1: int) -> np.ndarray:
+    """The C_n table (n even) with one intercalate swapped: still a Latin
+    square with identity 0, no longer associative."""
+    i = np.arange(n)
+    table = (i[:, None] + i[None, :]) % n
+    r2, c2 = r1 + n // 2, c1 + n // 2
+    for r, c in ((r1, c1), (r1, c2), (r2, c1), (r2, c2)):
+        table[r, c] = (table[r, c] + n // 2) % n
+    return table
 
-    def mult(i, j):
-        if (i, j) in ((r1, c1), (r2, c2)):
-            return (i + j + n // 2) % n
-        if (i, j) in ((r1, c2), (r2, c1)):
-            return (i + j + n // 2) % n
-        return (i + j) % n
 
-    with pytest.raises(NotAGroup):
-        build_group(mult, n)
+def _fails_associativity(table: np.ndarray, x: int, a: int, y: int) -> bool:
+    return table[table[x, a], y] != table[x, table[a, y]]
+
+
+@pytest.mark.parametrize("n", [300, 600, 1030])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_associativity_check_catches_big_broken_table(n, where):
+    # orders on both sides of the old line between exhaustive and sampled
+    # checks; the swapped intercalate sits near the start, middle or end
+    r1, c1 = {"first": (1, 2), "middle": (n // 4, n // 3),
+              "last": (n // 2 - 1, n // 2 - 1)}[where]
+    table = _broken_cyclic_table(n, r1, c1)
+    with pytest.raises(NotAGroup, match="assoc") as exc:
+        Group(table)
+    assert _fails_associativity(table, *exc.value.witness)
+
+
+def _associative_brute_force(table: np.ndarray) -> bool:
+    # (x*j)*k == x*(j*k) for every triple, one x at a time
+    return all(np.array_equal(table[table[x]], table[x][table])
+               for x in range(len(table)))
+
+
+def _light_accepts(table: np.ndarray) -> bool:
+    try:
+        _validate_table(table)
+    except NotAGroup as exc:
+        assert exc.reason == "associativity fails"
+        assert _fails_associativity(table, *exc.witness)
+        return False
+    return True
+
+
+def test_light_matches_brute_force_on_corpus():
+    from corpus import structural_corpus
+
+    for G in structural_corpus():
+        assert _associative_brute_force(G.table)
+        assert _light_accepts(G.table), G.origin
+
+
+def test_light_matches_brute_force_on_perturbed_tables():
+    # swap intercalates {r, r*t} x {c, t*c} for an involution t: the table
+    # stays a Latin square with identity 0 and may or may not stay a group
+    from corpus import structural_corpus
+
+    rng = random.Random(2)
+    groups = [G for G in structural_corpus() if 4 <= G.order <= 40 and G.order % 2 == 0]
+    verdicts = []
+    for _ in range(300):
+        G = rng.choice(groups)
+        table = G.table.copy()
+        involutions = [t for t in range(G.order) if G.element_order(t) == 2]
+        for _ in range(rng.randint(1, 3)):
+            t = rng.choice(involutions)
+            r1, c1 = (rng.choice([g for g in range(1, G.order) if g != t])
+                      for _ in range(2))
+            r2, c2 = table[r1, t], table[t, c1]
+            u, v = table[r1, c1], table[r1, c2]
+            if table[r2, c2] != u or table[r2, c1] != v:
+                continue  # an earlier swap broke this intercalate
+            table[r1, c1] = table[r2, c2] = v
+            table[r1, c2] = table[r2, c1] = u
+        verdict = _associative_brute_force(table)
+        assert _light_accepts(table) == verdict, (G.origin, table.tolist())
+        verdicts.append(verdict)
+    assert verdicts.count(False) >= 100
+
+
+# a commutative loop of order 5 that is not associative
+LOOP5 = np.array([
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+])
+
+
+def test_light_matches_brute_force_on_loop_products():
+    # G x LOOP5 with (g, m) at index g + |G| m: the first elements checked
+    # lie in G x {e}, pass, and close to G x {e} only, so the failure shows
+    # up only at a later element of the generating set
+    from corpus import structural_corpus
+
+    for G in structural_corpus():
+        if G.order > 24:
+            continue
+        k = G.order
+        g, m = np.arange(5 * k) % k, np.arange(5 * k) // k
+        table = G.table[g[:, None], g[None, :]] + k * LOOP5[m[:, None], m[None, :]]
+        assert not _associative_brute_force(table)
+        assert not _light_accepts(table), G.origin
+
+
+def test_associativity_check_survives_python_O():
+    # the check raises explicitly, so python -O cannot compile it away
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from freerep.errors import NotAGroup
+        from freerep.groups import Group
+        if __debug__:
+            sys.exit("not running under python -O")
+        n = 600
+        i = np.arange(n)
+        table = (i[:, None] + i[None, :]) % n
+        for r, c in ((1, 2), (1, 302), (301, 2), (301, 302)):
+            table[r, c] = (table[r, c] + n // 2) % n
+        try:
+            Group(table)
+        except NotAGroup as exc:
+            sys.exit(0 if exc.reason == "associativity fails" else 3)
+        sys.exit(4)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _normal_closure_by_conjugating(G, seeds):
+    # the conjugate-and-retry loop normal_closure used to run
+    gens = list(dict.fromkeys(int(x) for x in seeds))
+    while True:
+        H = subgroup_generated(G, gens)
+        sub = np.fromiter(H.elements, dtype=np.int64)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[sub] = True
+        all_g = np.arange(G.order)
+        conj = G.table[G.table[np.ix_(all_g, sub)], G.inverse[all_g, None]]
+        outside = conj[~mask[conj]]
+        if outside.size == 0:
+            return H
+        gens.append(int(outside.flat[0]))
+
+
+def test_normal_closure_matches_conjugation_loop_on_corpus():
+    from corpus import structural_corpus
+
+    rng = random.Random(3)
+    for G in structural_corpus():
+        seed_sets = [[cls[0]] for cls in G.conjugacy_classes()]
+        seed_sets += [rng.sample(range(G.order), min(2, G.order)) for _ in range(3)]
+        for seeds in seed_sets:
+            N = normal_closure(G, seeds)
+            assert N.is_normal()
+            assert N.elset == _normal_closure_by_conjugating(G, seeds).elset, \
+                (G.origin, seeds)
 
 
 def test_isomorphism_reflexive_on_corpus():

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from freerep.errors import NotCoprime, NotFaithful, NotFreelyRepresentable
-from freerep.groups import Subgroup, all_subgroups, subgroup_generated
+from freerep.errors import (
+    NotAGroup,
+    NotCoprime,
+    NotFaithful,
+    NotFreelyRepresentable,
+)
+from freerep.groups import (
+    Subgroup,
+    all_subgroups,
+    generating_sequence,
+    subgroup_generated,
+)
 from freerep.constructors import (
     binary_polyhedral,
     cyclic,
@@ -236,6 +246,21 @@ def test_build_sl2_3_via_2t_model():
     assert rep is not None
     assert rep.degree == 2
     assert verify_free(rep).free
+
+
+def test_validate_catches_wrong_image_off_the_generators():
+    # validate checks rho(s) rho(h) == rho(sh) for generators s only; a
+    # wrong image of an element that is not a generator must still fail it
+    for G in (generalized_quaternion(16),
+              direct_product(cyclic(5), generalized_quaternion(8))):
+        rep = build_free_representation(G)
+        gens = generating_sequence(G)
+        others = [g for g in range(1, G.order) if g not in gens]
+        for g in (others[0], others[-1]):
+            images = list(rep.images)
+            images[g] = RepMatrix.identity(rep.conductor, rep.degree)
+            with pytest.raises(NotAGroup, match="not multiplicative"):
+                Representation(G, rep.degree, rep.conductor, images).validate()
 
 
 def test_build_rejects_non_fr():
