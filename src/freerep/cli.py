@@ -18,6 +18,7 @@ from .errors import (
     CapExceeded,
     DeadlineExceeded,
     FreerepError,
+    InvariantViolated,
     NotAGroup,
     NotFreelyRepresentable,
     ParseError,
@@ -400,14 +401,17 @@ def cmd_represent(spec_text: str, as_json: bool, deadline=None) -> tuple:
                                   "reason": "unsupported shape"}, indent=2)
         return 0, "freely representable, but no constructive route (unsupported shape)"
     report = verify_free(rep)
-    assert report.free
+    if not report.free:
+        raise InvariantViolated(
+            f"{spec.canonical()}: constructed representation is not free "
+            f"(element {report.failing_element} fixes a vector)")
     if as_json:
         data = rep.to_json(spec.canonical())
         data["verified_free"] = report.free
         return 0, json.dumps(data, indent=2)
     return 0, (f"free representation of degree {rep.degree} over "
-               f"Q(zeta_{rep.conductor}); all det(rho(g)-I) nonzero, "
-               f"all subgroup norm sums vanish")
+               f"Q(zeta_{rep.conductor}); the norm sum of every "
+               f"prime-order cyclic subgroup vanishes")
 
 
 def cmd_census(p: int, as_json: bool, cap: Optional[int]) -> tuple:

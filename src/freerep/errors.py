@@ -16,6 +16,10 @@ class NotAGroup(FreerepError):
         self.witness = witness
 
 
+class InvariantViolated(FreerepError):
+    """A result failed its own exact re-verification: a fault, never an answer."""
+
+
 class CapExceeded(FreerepError):
     pass
 

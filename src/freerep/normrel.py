@@ -1,14 +1,23 @@
 """Exact rational group-algebra arithmetic and norm-relation-of-unity
 certificates: decide whether 1 lies in the left ideal of Q[G] generated by
-nontrivial subgroup norms, and emit machine-verifiable witnesses."""
+nontrivial subgroup norms, and emit machine-verifiable witnesses.
+
+The ideal is eliminated modulo a prime below 2**31 and every answer is then
+proved over Q with integer arithmetic: a certificate is reconstructed and
+re-multiplied exactly; "no relation" is proved by reconstructing the echelon
+basis and checking that every generator lies in its row space and 1 does
+not."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 from typing import Optional
 
-from .errors import CapExceeded, NotAPartition, ParentMismatch
+import numpy as np
+
+from .errors import CapExceeded, InvariantViolated, NotAPartition, ParentMismatch
 from .groups import Deadline, Group, Subgroup, cyclic_subgroups, full_subgroup
 
 NORM_RELATION_CAP = 256
@@ -149,126 +158,251 @@ class NormRelationOutcome:
     ideal_dimension: int
 
 
-class _Row:
-    __slots__ = ("vec", "pivot", "combo")
-
-    def __init__(self, vec, pivot, combo):
-        self.vec = vec
-        self.pivot = pivot
-        self.combo = combo
-
-
 class NormIdealBasis:
-    """Reduced echelon basis of the left ideal spanned by {g * N(C)} with C
-    ranging over the prime-order cyclic subgroups, with provenance tracking."""
+    """Proved reduced echelon basis of the left ideal J spanned by {g * N(C)},
+    C ranging over the prime-order cyclic subgroups: `rows` is the integer
+    matrix denominator * R, where the rational matrix R has the identity at
+    the `pivots` columns and its row space is exactly J."""
 
-    def __init__(self, G: Group):
-        self.group = G
-        self.subgroups = [C for C in cyclic_subgroups(G) if _is_prime(len(C))]
-        self.rows: list[_Row] = []
-        self.generators: list = []  # (subgroup_index, coset_rep)
+    def __init__(self, group: Group, pivots: list, denominator: int,
+                 rows: np.ndarray):
+        self.group = group
+        self.pivots = pivots
+        self.denominator = denominator
+        self.rows = rows
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def _reduce(self, vec: list, combo: dict) -> tuple:
-        for row in self.rows:
-            c = vec[row.pivot]
-            if c:
-                rvec = row.vec
-                vec = [a - c * b for a, b in zip(vec, rvec)]
-                for j, rc in row.combo.items():
-                    combo[j] = combo.get(j, ZERO) - c * rc
-        return vec, combo
-
-    def _insert(self, vec: list, combo: dict) -> bool:
-        """Insert a reduced nonzero vector; returns False if it was zero."""
-        support = [(abs(c.numerator) + c.denominator, g)
-                   for g, c in enumerate(vec) if c]
-        if not support:
-            return False
-        _, pivot = min(support)  # smallest-numerator pivot limits blowup
-        inv = ONE / vec[pivot]
-        vec = [inv * c for c in vec]
-        combo = {j: inv * c for j, c in combo.items() if c}
-        new = _Row(vec, pivot, combo)
-        for row in self.rows:
-            c = row.vec[pivot]
-            if c:
-                row.vec = [a - c * b for a, b in zip(row.vec, vec)]
-                for j, rc in combo.items():
-                    row.combo[j] = row.combo.get(j, ZERO) - c * rc
-        self.rows.append(new)
-        return True
-
-    def reduce_vector(self, coeffs: list) -> tuple:
-        """Reduce an arbitrary vector; returns (residue, combo over generators)."""
-        return self._reduce([Fraction(c) for c in coeffs], {})
+    def spans(self, vectors: np.ndarray) -> np.ndarray:
+        """Per row v of an integer matrix: is v in the row space of R?
+        It is iff v = v[pivots] @ R, i.e. D*v == v[pivots] @ (D*R)."""
+        return (vectors[:, self.pivots] @ self.rows
+                == self.denominator * vectors).all(axis=1)
 
     def contains(self, x: GroupAlgebraElement) -> bool:
-        residue, _ = self.reduce_vector(x.coeffs)
-        return all(c == 0 for c in residue)
+        scale = lcm(*(c.denominator for c in x.coeffs))
+        v = np.array([[c.numerator * (scale // c.denominator)
+                       for c in x.coeffs]], dtype=object)
+        return bool(self.spans(v)[0])
 
-    def feed_all(self, *, stop_at_unit: bool = False,
-                 deadline: Optional[Deadline] = None) -> Optional[dict]:
-        """Feed every generator g*N(C); optionally stop once 1 is in the span.
 
-        Returns the unit's generator combination when found, else None.
-        """
-        G = self.group
-        rows_tbl = G.rows
-        n = G.order
-        unit_red = [ONE] + [ZERO] * (n - 1)
-        unit_combo: dict = {}
-        unit_found = False
+# Residues stay below 2**31, so a product of two stays below 2**62.
+MODULUS_LIMIT = 2 ** 31
 
-        gen_streams = []
-        for ci, C in enumerate(self.subgroups):
-            seen = [False] * n
-            reps = []
-            for g in range(n):
-                if not seen[g]:
-                    for h in C.elements:
-                        seen[rows_tbl[g][h]] = True
-                    reps.append(g)
-            gen_streams.append((ci, C, reps))
 
-        # round-robin across subgroups so the rank grows quickly
-        order = []
-        depth = 0
-        remaining = sum(len(reps) for _, _, reps in gen_streams)
-        while len(order) < remaining:
-            for ci, C, reps in gen_streams:
-                if depth < len(reps):
-                    order.append((ci, C, reps[depth]))
-            depth += 1
+@dataclass
+class _Echelon:
+    """Fully reduced row echelon form mod p of the generators fed so far:
+    rows[i] = sum_k combos[i, k] * (generator chosen[k]) mod p, with 1 at
+    column pivots[i] and 0 at every other pivot column."""
 
-        for ci, C, g in order:
-            if deadline is not None:
-                deadline.check()
-            vec = [ZERO] * n
-            row = rows_tbl[g]
-            for h in C.elements:
-                vec[row[h]] = ONE
-            gen_index = len(self.generators)
-            self.generators.append((ci, g))
-            vec, combo = self._reduce(vec, {gen_index: ONE})
-            if self._insert(vec, combo):
-                if not unit_found:
-                    new = self.rows[-1]
-                    c = unit_red[new.pivot]
-                    if c:
-                        unit_red = [a - c * b for a, b in zip(unit_red, new.vec)]
-                        for j, rc in new.combo.items():
-                            unit_combo[j] = unit_combo.get(j, ZERO) - c * rc
-                    if all(v == 0 for v in unit_red):
-                        unit_found = True
-                        if stop_at_unit:
-                            break
-        if unit_found:
-            return {j: -c for j, c in unit_combo.items() if c}
+    p: int
+    chosen: list  # stream positions of the generators that raised the rank
+    pivots: list
+    rows: np.ndarray  # rank x n
+    combos: np.ndarray  # rank x rank
+    unit_row: Optional[int]  # the row equal to 1, once 1 is in the span
+
+
+def _generator_stream(G: Group, subgroups: list) -> list:
+    """Every generator g * N(C) as (subgroup index, g, elements of gC), with g
+    the least element of its left coset, taken round-robin across the
+    subgroups so the rank grows quickly."""
+    per_subgroup = []
+    for C in subgroups:
+        cosets = G.table[:, C.elements]
+        reps = np.flatnonzero(cosets.min(axis=1) == np.arange(G.order))
+        per_subgroup.append([(g, cosets[g]) for g in reps.tolist()])
+    stream = []
+    for depth in range(max(map(len, per_subgroup), default=0)):
+        for ci, gens in enumerate(per_subgroup):
+            if depth < len(gens):
+                stream.append((ci, *gens[depth]))
+    return stream
+
+
+def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool,
+               deadline: Optional[Deadline]) -> _Echelon:
+    """Feed the stream into a fully reduced echelon form mod p.  A generator
+    is reduced against the rows whose pivot lies in its coset; inserting it
+    is one rank-1 update of the rows and of their combinations."""
+    rows = np.zeros((n, n), dtype=np.int64)
+    combos = np.zeros((n, n), dtype=np.int64)
+    row_of = np.full(n, -1)  # pivot column -> row
+    chosen: list = []
+    pivots: list = []
+    unit_row = None
+    for pos, (_, _, coset) in enumerate(stream):
+        if deadline is not None:
+            deadline.check()
+        hit = row_of[coset]
+        hit = hit[hit >= 0]
+        w = -rows[hit].sum(axis=0)
+        w[coset] += 1
+        w %= p
+        support = np.flatnonzero(w)
+        if not support.size:
+            continue
+        r, col = len(pivots), int(support[0])
+        inv = pow(int(w[col]), -1, p)
+        w = w * inv % p
+        k = -combos[hit, :r + 1].sum(axis=0)
+        k[r] += 1
+        k = k % p * inv % p
+        touched = np.flatnonzero(rows[:r, col])
+        f = rows[touched, col, None]
+        rows[touched] = (rows[touched] - f * w) % p
+        combos[touched, :r + 1] = (combos[touched, :r + 1] - f * k) % p
+        rows[r], combos[r, :r + 1] = w, k
+        row_of[col] = r
+        chosen.append(pos)
+        pivots.append(col)
+        if stop_at_unit and row_of[0] >= 0 \
+                and np.count_nonzero(rows[row_of[0]]) == 1:
+            unit_row = int(row_of[0])
+            break
+    r = len(pivots)
+    return _Echelon(p, chosen, pivots, rows[:r].copy(), combos[:r, :r].copy(),
+                    unit_row)
+
+
+def _rational(a: int, m: int) -> Optional[Fraction]:
+    """The fraction u/v = a mod m with |u|, v <= sqrt(m/2), or None
+    (Wang's rational reconstruction by the half-extended Euclid)."""
+    bound = isqrt((m - 1) // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
+    return Fraction(r1, t1)
+
+
+def _rational_matrix(residues: np.ndarray, m: int) -> Optional[tuple]:
+    """(D, D*X) for the rational matrix X = residues mod m, D the least
+    common denominator; D*X is int64 when every product of one of its
+    entries with a 0/1 vector fits, else Python integers.  None when some
+    entry has no reconstruction."""
+    distinct, where = np.unique(residues.ravel(), return_inverse=True)
+    fracs = [_rational(int(a), m) for a in distinct.tolist()]
+    if any(f is None for f in fracs):
+        return None
+    D = lcm(*(f.denominator for f in fracs))
+    scaled = [f.numerator * (D // f.denominator) for f in fracs]
+    biggest = max(map(abs, scaled), default=0)
+    dtype = np.int64 if max(biggest, D) * (residues.shape[-1] + 1) < 2 ** 63 \
+        else object
+    return D, np.array(scaled, dtype=dtype)[where].reshape(residues.shape)
+
+
+def _crt(a: np.ndarray, m: int, b: np.ndarray, p: int) -> np.ndarray:
+    """The residues mod m*p that are a mod m and b mod p."""
+    a = a.astype(object)
+    return a + m * ((b.astype(object) - a) * pow(m, -1, p) % p)
+
+
+def _dense(n: int, cosets: list, dtype=np.int64) -> np.ndarray:
+    """The 0/1 generator vectors of the given cosets, one per row."""
+    v = np.zeros((len(cosets), n), dtype=dtype)
+    for i, coset in enumerate(cosets):
+        v[i, coset] = 1
+    return v
+
+
+def _proves(basis: NormIdealBasis, stream: list, ech: _Echelon,
+            exclude_unit: bool) -> bool:
+    """Exact checks that J is the row space of the basis (and, if asked,
+    that 1 is not in J)."""
+    n, r, piv = basis.group.order, len(ech.pivots), ech.pivots
+    # 1. The chosen generators are independent mod p, hence over Q:
+    #    rank J >= r.
+    chosen = _dense(n, [stream[pos][2] for pos in ech.chosen])
+    if not (np.array_equal(ech.combos @ chosen % ech.p, ech.rows)
+            and np.array_equal(ech.rows[:, piv], np.eye(r, dtype=np.int64))):
+        return False
+    # 2. R has the identity at the pivots and every generator lies in its
+    #    row space: J is inside a space of dimension r, so equal to it.
+    if basis.pivots != piv or not np.array_equal(
+            basis.rows[:, piv], np.diag([basis.denominator] * r)):
+        return False
+    by_subgroup: dict = {}
+    for ci, _, coset in stream:
+        by_subgroup.setdefault(ci, []).append(coset)
+    if not all(basis.spans(_dense(n, cosets, basis.rows.dtype)).all()
+               for cosets in by_subgroup.values()):
+        return False
+    # 3. 1 is not in the row space, hence not in J.
+    return not (exclude_unit
+                and basis.contains(GroupAlgebraElement.unit(basis.group)))
+
+
+def _certificate(G: Group, subgroups: list, stream: list, chosen: list,
+                 residues: np.ndarray, m: int
+                 ) -> Optional[NormRelationCertificate]:
+    """The certificate 1 = sum of c_k * (generator chosen[k]) for the
+    reconstructed c, or None unless it verifies exactly.  Terms come in the
+    stream order of their first generator."""
+    per_subgroup: dict = {}
+    for pos, a in zip(chosen, residues.tolist()):
+        c = _rational(a, m)
+        if c is None:
+            return None
+        if c:
+            ci, g, _ = stream[pos]
+            per_subgroup.setdefault(ci, GroupAlgebraElement(G)).coeffs[g] = c
+    cert = NormRelationCertificate(
+        G, [(subgroups[ci], x) for ci, x in per_subgroup.items()])
+    return cert if cert.verify() else None
+
+
+def _primes_below(limit: int):
+    """Primes below limit, largest first."""
+    return (q for q in range(limit - 1, 2, -1) if _is_prime(q))
+
+
+def _search(G: Group, *, stop_at_unit: bool, primes=None,
+            deadline: Optional[Deadline] = None):
+    """Eliminate mod successive primes until the answer is proved over Q.
+
+    Returns a verified certificate when stop_at_unit is set and 1 is in J,
+    else a proved NormIdealBasis.  A prime that divides a minor the
+    elimination meets, or is too small for the numerators and denominators
+    of the answer, leaves it unproved; the residues of primes that agree on
+    the chosen generators and pivots are then combined by CRT.  Every entry
+    is a ratio of minors of the 0/1 matrix of chosen generators, each at
+    most sqrt(prod |C|) by Hadamard's bound, so past a modulus of
+    2 * prod |C| every entry reconstructs and an unproved answer is a fault.
+    """
+    subgroups = [C for C in cyclic_subgroups(G) if _is_prime(len(C))]
+    stream = _generator_stream(G, subgroups)
+    combined: dict = {}  # (chosen, pivots, unit found) -> (modulus, residues)
+    for p in _primes_below(MODULUS_LIMIT) if primes is None else primes:
+        ech = _eliminate(stream, G.order, p, stop_at_unit, deadline)
+        found = ech.unit_row is not None
+        residues = ech.combos[ech.unit_row] if found else ech.rows
+        key = (tuple(ech.chosen), tuple(ech.pivots), found)
+        m = p
+        if key in combined:
+            m, old = combined[key]
+            residues, m = _crt(old, m, residues, p), m * p
+        combined[key] = (m, residues)
+        if found:
+            cert = _certificate(G, subgroups, stream, ech.chosen, residues, m)
+            if cert is not None:
+                return cert
+        else:
+            rational = _rational_matrix(residues, m)
+            if rational is not None:
+                basis = NormIdealBasis(G, ech.pivots, *rational)
+                if _proves(basis, stream, ech, stop_at_unit):
+                    return basis
+        if m > 2 * prod(len(stream[pos][2]) for pos in ech.chosen):
+            raise InvariantViolated(
+                f"norm ideal of {G.origin} unproved past the Hadamard bound")
+    raise InvariantViolated(f"norm ideal of {G.origin}: primes exhausted")
 
 
 def _is_prime(p: int) -> bool:
@@ -278,36 +412,24 @@ def _is_prime(p: int) -> bool:
 
 
 def norm_ideal(G: Group, *, deadline: Optional[Deadline] = None) -> NormIdealBasis:
-    """Full echelon basis of the subgroup-norm left ideal (no early stop)."""
-    basis = NormIdealBasis(G)
-    basis.feed_all(stop_at_unit=False, deadline=deadline)
-    return basis
+    """Proved echelon basis of the whole prime-order norm ideal J."""
+    return _search(G, stop_at_unit=False, deadline=deadline)
 
 
 def find_norm_relation(G: Group, *, cap: int = NORM_RELATION_CAP,
                        deadline: Optional[Deadline] = None) -> NormRelationOutcome:
     """A verified norm-relation-of-unity certificate, or absence + dimension.
 
-    The left ideal is spanned by {g*N(C)} over prime-order cyclic C only;
+    The left ideal J is spanned by {g*N(C)} over prime-order cyclic C only;
     this is lossless because N(H) = (sum of coset reps) * N(C) for any
-    prime-order C <= H.
+    prime-order C <= H.  When 1 is in J, J = Q[G] and its dimension is |G|.
     """
     if G.order > cap:
         raise CapExceeded(f"group order {G.order} exceeds norm-relation cap {cap}")
-    basis = NormIdealBasis(G)
-    combo = basis.feed_all(stop_at_unit=True, deadline=deadline)
-    if combo is None:
-        return NormRelationOutcome(None, basis.dimension)
-    per_subgroup: dict = {}
-    for gen_index, coeff in combo.items():
-        ci, g = basis.generators[gen_index]
-        bucket = per_subgroup.setdefault(ci, GroupAlgebraElement(G))
-        bucket.coeffs[g] += coeff
-    terms = [(basis.subgroups[ci], coeff) for ci, coeff in per_subgroup.items()
-             if not coeff.is_zero()]
-    cert = NormRelationCertificate(G, terms)
-    assert cert.verify(), "norm-relation certificate failed re-multiplication"
-    return NormRelationOutcome(cert, basis.dimension)
+    found = _search(G, stop_at_unit=True, deadline=deadline)
+    if isinstance(found, NormRelationCertificate):
+        return NormRelationOutcome(found, G.order)
+    return NormRelationOutcome(None, found.dimension)
 
 
 def partition_relation(G: Group, parts: list) -> NormRelationCertificate:
@@ -334,5 +456,6 @@ def partition_relation(G: Group, parts: list) -> NormRelationCertificate:
     terms = [(P, GroupAlgebraElement.of_element(G, 0, c)) for P in parts]
     terms.append((full_subgroup(G), GroupAlgebraElement.of_element(G, 0, -c)))
     cert = NormRelationCertificate(G, terms)
-    assert cert.verify(), "partition relation failed verification"
+    if not cert.verify():
+        raise InvariantViolated("partition relation failed verification")
     return cert

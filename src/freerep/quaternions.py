@@ -245,25 +245,30 @@ def finite_quaternion_group(gens: Sequence[Quaternion], *,
     one = ONE.lift(d)
     elems = [one]
     index = {one: 0}
-    frontier = [one]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in index:
-                    if len(elems) >= cap:
-                        raise CapExceeded(
-                            f"quaternion closure exceeded cap {cap}")
-                    index[y] = len(elems)
-                    elems.append(y)
-                    new.append(y)
-        frontier = new
+    parent = [(0, 0)]  # elems[b] = elems[a] * gens[j] for (a, j) = parent[b]
+    right = [[] for _ in gens]  # right[j][a] = index of elems[a] * gens[j]
+    a = 0
+    while a < len(elems):  # breadth first: elements in order of discovery
+        for j, g in enumerate(gens):
+            y = elems[a] * g
+            b = index.get(y)
+            if b is None:
+                if len(elems) >= cap:
+                    raise CapExceeded(f"quaternion closure exceeded cap {cap}")
+                b = index[y] = len(elems)
+                elems.append(y)
+                parent.append((a, j))
+            right[j].append(b)
+        a += 1
     n = len(elems)
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    # x * elems[b] = (x * elems[a]) * gens[j]: column b is column a moved by
+    # the right multiplication by gens[j]
     table = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        for b in range(n):
-            table[a, b] = index[elems[a] * elems[b]]
+    table[:, 0] = np.arange(n)
+    for b in range(1, n):
+        a, j = parent[b]
+        table[:, b] = right[j][table[:, a]]
     G = Group(table, labels=[str(q) for q in elems], origin=f"quat(order={n})")
     G.quaternions = elems
     return G

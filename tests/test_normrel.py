@@ -2,12 +2,27 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import gcd, isqrt
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from corpus import norm_relation_corpus
+from freerep import normrel
 from freerep.errors import NotAPartition, ParentMismatch
-from freerep.groups import Subgroup, all_subgroups, subgroup_generated
+from freerep.groups import (
+    Subgroup,
+    all_subgroups,
+    cyclic_subgroups,
+    subgroup_generated,
+)
 from freerep.constructors import (
     cyclic,
     dihedral,
@@ -18,6 +33,7 @@ from freerep.constructors import (
 )
 from freerep.normrel import (
     GroupAlgebraElement,
+    NormIdealBasis,
     NormRelationCertificate,
     find_norm_relation,
     norm_element,
@@ -268,3 +284,241 @@ def test_certificate_json():
     assert data["group_spec"] == "prod(C2,C2)"
     assert all("subgroup_elements" in t and "coefficient" in t
                for t in data["terms"])
+
+
+# -- ideal dimension -------------------------------------------------------------------
+
+def _phi(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_cyclic_ideal_dimension_closed_form(n):
+    # dim J = |G| minus the squared degrees of the fixed-point-free
+    # irreducibles; for C_n these are the phi(n) faithful characters
+    out = find_norm_relation(cyclic(n))
+    assert out.certificate is None
+    assert out.ideal_dimension == n - _phi(n)
+
+
+@pytest.mark.parametrize("G", [dihedral(3), dihedral(35), sd(35, 3, 11)],
+                         ids=lambda g: g.origin)
+def test_ideal_dimension_is_order_when_certificate_exists(G):
+    # 1 in J makes J all of Q[G]
+    out = find_norm_relation(G)
+    assert out.certificate is not None and out.certificate.verified
+    assert out.ideal_dimension == G.order
+
+
+def test_find_norm_relation_survives_python_O():
+    # verification gates the result explicitly, so python -O keeps it
+    code = textwrap.dedent("""
+        import json, sys
+        from freerep.constructors import dihedral
+        from freerep.normrel import find_norm_relation
+        if __debug__:
+            sys.exit("not running under python -O")
+        out = find_norm_relation(dihedral(3))
+        print(json.dumps({"verified": out.certificate.to_json()["verified"],
+                          "ideal_dimension": out.ideal_dimension}))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"verified": True, "ideal_dimension": 6}
+
+
+# -- the former Fraction elimination, kept as the oracle ---------------------------------
+
+class _FractionRow:
+    __slots__ = ("vec", "pivot", "combo")
+
+    def __init__(self, vec, pivot, combo):
+        self.vec = vec
+        self.pivot = pivot
+        self.combo = combo
+
+
+class _FractionBasis:
+    """Reduced echelon basis over Q with Fraction rows and per-row
+    combinations over the generators, fed in the search's stream order."""
+
+    def __init__(self, G):
+        self.group = G
+        self.subgroups = [C for C in cyclic_subgroups(G)
+                          if normrel._is_prime(len(C))]
+        self.rows = []
+        self.generators = []  # (subgroup_index, coset_rep)
+
+    def _reduce(self, vec, combo):
+        for row in self.rows:
+            c = vec[row.pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row.vec)]
+                for j, rc in row.combo.items():
+                    combo[j] = combo.get(j, Fraction(0)) - c * rc
+        return vec, combo
+
+    def _insert(self, vec, combo):
+        support = [(abs(c.numerator) + c.denominator, g)
+                   for g, c in enumerate(vec) if c]
+        if not support:
+            return False
+        _, pivot = min(support)
+        inv = 1 / vec[pivot]
+        vec = [inv * c for c in vec]
+        combo = {j: inv * c for j, c in combo.items() if c}
+        new = _FractionRow(vec, pivot, combo)
+        for row in self.rows:
+            c = row.vec[pivot]
+            if c:
+                row.vec = [a - c * b for a, b in zip(row.vec, vec)]
+                for j, rc in combo.items():
+                    row.combo[j] = row.combo.get(j, Fraction(0)) - c * rc
+        self.rows.append(new)
+        return True
+
+    def feed_all(self):
+        """The unit's generator combination once 1 is in the span, else None."""
+        G = self.group
+        n = G.order
+        unit_red = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        unit_combo = {}
+        gen_streams = []
+        for ci, C in enumerate(self.subgroups):
+            seen = [False] * n
+            reps = []
+            for g in range(n):
+                if not seen[g]:
+                    for h in C.elements:
+                        seen[G.rows[g][h]] = True
+                    reps.append(g)
+            gen_streams.append((ci, C, reps))
+        order = []
+        depth = 0
+        remaining = sum(len(reps) for _, _, reps in gen_streams)
+        while len(order) < remaining:
+            for ci, C, reps in gen_streams:
+                if depth < len(reps):
+                    order.append((ci, C, reps[depth]))
+            depth += 1
+        for ci, C, g in order:
+            vec = [Fraction(0)] * n
+            for h in C.elements:
+                vec[G.rows[g][h]] = Fraction(1)
+            gen_index = len(self.generators)
+            self.generators.append((ci, g))
+            vec, combo = self._reduce(vec, {gen_index: Fraction(1)})
+            if self._insert(vec, combo):
+                new = self.rows[-1]
+                c = unit_red[new.pivot]
+                if c:
+                    unit_red = [a - c * b for a, b in zip(unit_red, new.vec)]
+                    for j, rc in new.combo.items():
+                        unit_combo[j] = unit_combo.get(j, Fraction(0)) - c * rc
+                if all(v == 0 for v in unit_red):
+                    return {j: -c for j, c in unit_combo.items() if c}
+        return None
+
+
+def _oracle(G):
+    """(certificate or None, dimension of J) by the Fraction elimination."""
+    basis = _FractionBasis(G)
+    combo = basis.feed_all()
+    if combo is None:
+        return None, len(basis.rows)
+    per_subgroup = {}
+    for gen_index, coeff in combo.items():
+        ci, g = basis.generators[gen_index]
+        bucket = per_subgroup.setdefault(ci, GroupAlgebraElement(G))
+        bucket.coeffs[g] += coeff
+    terms = [(basis.subgroups[ci], coeff) for ci, coeff in per_subgroup.items()
+             if not coeff.is_zero()]
+    cert = NormRelationCertificate(G, terms)
+    assert cert.verify()
+    return cert, G.order
+
+
+def test_modular_search_matches_fraction_oracle_on_corpus():
+    for G in norm_relation_corpus():
+        expected, dimension = _oracle(G)
+        out = find_norm_relation(G)
+        assert out.ideal_dimension == dimension, G.origin
+        if expected is None:
+            assert out.certificate is None, G.origin
+        else:
+            assert json.dumps(out.certificate.to_json()) \
+                == json.dumps(expected.to_json()), G.origin
+
+
+# -- retries, CRT and tampered proofs ------------------------------------------------------
+
+def _small_primes(used: list):
+    for q in range(11, 10 ** 5):
+        if all(q % d for d in range(2, isqrt(q) + 1)):
+            used.append(q)
+            yield q
+
+
+def test_small_primes_retry_and_combine_to_the_same_answer(monkeypatch):
+    # primes from 11 up fail to reconstruct entries such as 1/3 alone, so
+    # the search must retry and combine residues by CRT; the proved answer
+    # is the one the default prime gives
+    combined = []
+    crt = normrel._crt
+    monkeypatch.setattr(normrel, "_crt",
+                        lambda *args: combined.append(1) or crt(*args))
+    retried = []
+    for G in norm_relation_corpus():
+        expected = normrel._search(G, stop_at_unit=True)
+        used = []
+        got = normrel._search(G, stop_at_unit=True, primes=_small_primes(used))
+        if len(used) > 1:
+            retried.append(G.origin)
+        if isinstance(expected, NormRelationCertificate):
+            assert got.to_json() == expected.to_json(), G.origin
+        else:
+            # the pivots may differ mod a small prime; the space may not
+            assert isinstance(got, NormIdealBasis), G.origin
+            assert got.dimension == expected.dimension, G.origin
+            assert got.spans(expected.rows).all(), G.origin
+            assert expected.spans(got.rows).all(), G.origin
+    assert retried and combined
+
+
+def _proof_parts(G):
+    subgroups = [C for C in cyclic_subgroups(G) if normrel._is_prime(len(C))]
+    stream = normrel._generator_stream(G, subgroups)
+    ech = normrel._eliminate(stream, G.order, normrel.MODULUS_LIMIT - 1,
+                             True, None)
+    D, rows = normrel._rational_matrix(ech.rows, ech.p)
+    all_generators = np.zeros((len(stream), G.order), dtype=np.int64)
+    for i, (_, _, coset) in enumerate(stream):
+        all_generators[i, coset] = 1
+    return stream, ech, NormIdealBasis(G, list(ech.pivots), D, rows), \
+        all_generators
+
+
+@pytest.mark.parametrize("G", [cyclic(12), generalized_quaternion(16),
+                               sd(7, 9, 2), sl2(3)],
+                         ids=lambda g: g.origin)
+def test_tampered_no_relation_proof_is_rejected(G):
+    stream, ech, basis, gens = _proof_parts(G)
+    assert normrel._proves(basis, stream, ech, True)
+    for i in range(basis.dimension):
+        dropped = NormIdealBasis(G, basis.pivots[:i] + basis.pivots[i + 1:],
+                                 basis.denominator,
+                                 np.delete(basis.rows, i, axis=0))
+        assert not normrel._proves(dropped, stream, ech, True)
+        assert not dropped.spans(gens).all()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        i = int(rng.integers(basis.dimension))
+        j = int(rng.integers(G.order))
+        changed = NormIdealBasis(G, basis.pivots, basis.denominator,
+                                 basis.rows.copy())
+        changed.rows[i, j] += 1
+        assert not normrel._proves(changed, stream, ech, True)

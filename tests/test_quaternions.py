@@ -138,6 +138,36 @@ def test_binary_icosahedral_closure_120_is_sl2_5():
     assert is_isomorphic(G, sl2(5)) is not None
 
 
+def _closure_by_products(gens):
+    """The former construction, kept as the oracle: breadth-first closure,
+    then one exact quaternion product per table cell."""
+    one = ONE.lift(gens[0].d)
+    elems, index, frontier = [one], {one: 0}, [one]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in index:
+                    index[y] = len(elems)
+                    elems.append(y)
+                    new.append(y)
+        frontier = new
+    return elems, [[index[a * b] for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("gens", [hurwitz_tetrahedral_generators(),
+                                  binary_octahedral_generators(),
+                                  binary_icosahedral_generators()],
+                         ids=["2T", "2O", "2I"])
+def test_table_from_right_multiplications_matches_products(gens):
+    G = finite_quaternion_group(gens)
+    elems, table = _closure_by_products([g.lift(G.quaternions[0].d)
+                                         for g in gens])
+    assert G.quaternions == elems
+    assert G.table.tolist() == table
+
+
 def test_quaternion_groups_have_unique_involution():
     for gens in (hurwitz_tetrahedral_generators(),
                  binary_octahedral_generators(),

@@ -13,6 +13,7 @@ from freerep.errors import (
 from freerep.groups import (
     Subgroup,
     all_subgroups,
+    cyclic_subgroups,
     generating_sequence,
     subgroup_generated,
 )
@@ -93,6 +94,36 @@ def test_regular_rep_of_c2_not_free():
     report = verify_free(rep)
     assert not report.free
     assert report.failing_element == 1
+
+
+def _small_representations():
+    """Free and non-free representations of small groups: scalar ones, and
+    the monomial ones induced from each cyclic subgroup."""
+    reps = [scalar_representation(cyclic(n), d) for n in (1, 2, 5, 6, 12)
+            for d in (1, 2)]
+    for G in (cyclic(6), cyclic(12), dihedral(3), dihedral(4), dihedral(5),
+              direct_product(cyclic(2), cyclic(2)), generalized_quaternion(8),
+              generalized_quaternion(16), sd(7, 3, 2), sd(5, 4, 2)):
+        for H in cyclic_subgroups(G):
+            if len(H) > 1 or G.order <= 8:
+                reps.append(induced_representation(G, H, 1))
+    return reps
+
+
+def test_norm_sum_verdict_matches_determinants():
+    # free iff det(rho(g) - I) != 0 for every g != 1 (the definition),
+    # against verify_free's prime-order norm sums
+    verdicts = set()
+    for rep in _small_representations():
+        ident = RepMatrix.identity(rep.conductor, rep.degree)
+        fixes = [g for g in range(1, rep.group.order)
+                 if (rep.images[g] - ident).det().is_zero()]
+        report = verify_free(rep)
+        assert report.free == (not fixes), rep.group.origin
+        if not report.free:
+            assert report.failing_element in fixes
+        verdicts.add(report.free)
+    assert verdicts == {True, False}
 
 
 # -- induced representations ------------------------------------------------------------
