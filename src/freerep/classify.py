@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
+from .cyclotomic import is_prime
 from .errors import NotCycloidal, NotSylowCyclic
 from .groups import (
     Group,
@@ -62,10 +63,6 @@ def _prime_factors(n: int) -> list:
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 # -- Sylow profile ---------------------------------------------------------------
@@ -211,7 +208,7 @@ def mcc_subgroup(G: Group) -> Subgroup:
 def is_semiprime_cyclic(G: Group) -> tuple:
     """(True, None) or (False, witness): scans subgroups generated by two
     prime-order elements; any noncyclic order-pq subgroup arises this way."""
-    primes = [C for C in cyclic_subgroups(G) if _is_prime(len(C))]
+    primes = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
     orders = G.element_orders()
     for i, C1 in enumerate(primes):
         g1 = C1.elements[1]

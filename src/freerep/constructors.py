@@ -8,6 +8,7 @@ from math import gcd
 
 import numpy as np
 
+from .cyclotomic import is_prime
 from .errors import BadParams, BadSize, CapExceeded
 from .groups import ORDER_CAP, Group, commutator_subgroup, subgroup_generated
 
@@ -151,15 +152,9 @@ def sd(m: int, n: int, r: int) -> Group:
     return semidirect_cyclic(SemidirectParams(m, n, r))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def sl2(p: int) -> Group:
     """SL2(F_p): determinant-1 2x2 matrices over F_p; order (p-1)p(p+1)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise BadParams(f"{p} is not prime")
     order = (p - 1) * p * (p + 1)
     if order > ORDER_CAP:

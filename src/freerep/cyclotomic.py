@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadConductor
+from .errors import BadConductor, InvariantViolated
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,6 +27,10 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Integer coefficients of Phi_n, ascending degree, computed by dividing
@@ -37,7 +41,8 @@ def cyclotomic_polynomial(n: int) -> tuple:
     for d in range(1, n):
         if n % d == 0:
             num = _polydiv_exact(num, cyclotomic_polynomial(d))
-    assert len(num) - 1 == euler_phi(n)
+    if len(num) - 1 != euler_phi(n):
+        raise InvariantViolated(f"Phi_{n} has degree {len(num) - 1}, not phi({n})")
     return tuple(num)
 
 
@@ -51,12 +56,14 @@ def _polydiv_exact(num: list, den: tuple) -> list:
         c = num[k]
         if c == 0:
             continue
-        assert c % lead == 0
+        if c % lead:
+            raise InvariantViolated("inexact polynomial division")
         q = c // lead
         out[k - dd] = q
         for i, dc in enumerate(den):
             num[k - dd + i] -= q * dc
-    assert all(c == 0 for c in num), "division left a remainder"
+    if any(num):
+        raise InvariantViolated("polynomial division left a remainder")
     return out
 
 
@@ -238,11 +245,6 @@ class CyclotomicNumber:
                              (f"{c}*z{self.conductor}^{i}" if i > 1
                               else f"{c}*z{self.conductor}"))
         return " + ".join(terms)
-
-
-def conductor_lift(x: CyclotomicNumber, m: int) -> CyclotomicNumber:
-    """Injective field map Q(zeta_n) -> Q(zeta_m) for n | m."""
-    return x.lift(m)
 
 
 def _degree(p: list) -> int:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cyclotomic import is_prime
 from .errors import CapExceeded, InvariantViolated, NotAPartition, ParentMismatch
 from .groups import Deadline, Group, Subgroup, cyclic_subgroups, full_subgroup
 
@@ -360,7 +361,7 @@ def _certificate(G: Group, subgroups: list, stream: list, chosen: list,
 
 def _primes_below(limit: int):
     """Primes below limit, largest first."""
-    return (q for q in range(limit - 1, 2, -1) if _is_prime(q))
+    return (q for q in range(limit - 1, 2, -1) if is_prime(q))
 
 
 def _search(G: Group, *, stop_at_unit: bool, primes=None,
@@ -376,7 +377,7 @@ def _search(G: Group, *, stop_at_unit: bool, primes=None,
     most sqrt(prod |C|) by Hadamard's bound, so past a modulus of
     2 * prod |C| every entry reconstructs and an unproved answer is a fault.
     """
-    subgroups = [C for C in cyclic_subgroups(G) if _is_prime(len(C))]
+    subgroups = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
     stream = _generator_stream(G, subgroups)
     combined: dict = {}  # (chosen, pivots, unit found) -> (modulus, residues)
     for p in _primes_below(MODULUS_LIMIT) if primes is None else primes:
@@ -403,12 +404,6 @@ def _search(G: Group, *, stop_at_unit: bool, primes=None,
             raise InvariantViolated(
                 f"norm ideal of {G.origin} unproved past the Hadamard bound")
     raise InvariantViolated(f"norm ideal of {G.origin}: primes exhausted")
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def norm_ideal(G: Group, *, deadline: Optional[Deadline] = None) -> NormIdealBasis:

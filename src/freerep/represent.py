@@ -1,15 +1,25 @@
 """Construction and exact verification of free linear representations:
 scalar representations of cyclic groups, induced monomial representations,
-2-dimensional quaternion embeddings, and tensor products."""
+2-dimensional quaternion embeddings, and tensor products.
+
+A matrix over Q(zeta_n) is an integer array: the numerators of each entry's
+coefficients on the power basis 1, zeta, ..., zeta^(phi(n)-1), over one
+positive denominator.  A representation keeps its |G| images as one such
+stack."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
+    BadConductor,
+    InvariantViolated,
     NoQuaternionLabels,
     NotAGroup,
     NotCoprime,
@@ -17,7 +27,7 @@ from .errors import (
     NotFaithful,
     NotFreelyRepresentable,
 )
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi, is_prime
 from .groups import (
     Group,
     Homomorphism,
@@ -29,75 +39,182 @@ from .groups import (
     sylow_subgroup,
 )
 
+# Arrays are int64 while every value is known to stay below this bound,
+# which leaves room for one addition; otherwise Python ints (dtype=object).
+_INT64_SAFE = 1 << 62
+
+# integers per chunk of a stack multiplied at once by Representation.validate
+_CHUNK = 1 << 14
+
+
+def _max_abs(a: np.ndarray) -> int:
+    if a.size == 0:
+        return 0
+    if a.dtype == object:
+        return max(map(abs, a.flat))
+    return int(np.abs(a).max())
+
+
+def _exact_dtype(bound: int):
+    """The dtype for values of absolute value at most bound."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+@lru_cache(maxsize=None)
+def _field(n: int) -> tuple:
+    """(zeta, tail, rho) for Q(zeta_n): row k of zeta holds the coefficients
+    of zeta^k for 0 <= k < n, computed by shift-and-reduce with Phi_n; tail
+    holds the coefficients of Phi_n below its leading 1; rho bounds both."""
+    poly = cyclotomic_polynomial(n)
+    phi = len(poly) - 1
+    tail = list(poly[:phi])
+    rows, row = [], [1] + [0] * (phi - 1)
+    for _ in range(n):
+        rows.append(row)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, tail)]
+    rho = max(abs(c) for r in rows for c in r)
+    zeta, tail = (np.array(x, dtype=_exact_dtype(rho)) for x in (rows, tail))
+    zeta.flags.writeable = tail.flags.writeable = False  # shared by every caller
+    return zeta, tail, rho
+
+
+def _mult_blocks(num: np.ndarray, n: int) -> np.ndarray:
+    """Multiplication matrices of the entries of num (coefficients on the
+    last axis): out[..., u, t] is coefficient u of zeta^t * entry."""
+    _, tail, rho = _field(n)
+    phi = num.shape[-1]
+    # |coefficient of zeta^t * a| <= ||a||_1 * rho; a shift adds a factor rho + 1
+    dtype = _exact_dtype(phi * _max_abs(num) * rho * (rho + 1))
+    cur, tail = num.astype(dtype), tail.astype(dtype)
+    out = np.empty(num.shape + (phi,), dtype=dtype)
+    for t in range(phi):
+        out[..., t] = cur
+        shifted = np.zeros_like(cur)
+        shifted[..., 1:] = cur[..., :-1]
+        cur = shifted - cur[..., -1:] * tail
+    return out
+
 
 class RepMatrix:
-    """Square matrix over Q(zeta_n) with exact arithmetic."""
+    """Matrices over Q(zeta_n): integer numerators of shape (..., d, d, phi(n))
+    on the power basis, over one positive integer denominator.  A stack of
+    shape (N, d, d, phi) indexes and iterates like a list of N matrices."""
 
-    __slots__ = ("degree", "conductor", "entries")
+    __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, entries):
+    def __init__(self, conductor: int, num, den: int = 1):
+        num = np.asarray(num)
+        if num.dtype.kind not in "biuO":
+            raise TypeError(f"numerators must be integers, not {num.dtype}")
+        if num.dtype != object:
+            num = num.astype(np.int64, copy=False)
+        if (num.ndim < 3 or num.shape[-3] != num.shape[-2]
+                or num.shape[-1] != euler_phi(conductor)):
+            raise NotAGroup("matrix is not square over Q(zeta_n)")
+        if den < 1:
+            raise NotAGroup("denominator must be positive")
         self.conductor = conductor
-        self.entries = [list(row) for row in entries]
-        self.degree = len(self.entries)
-        for row in self.entries:
-            if len(row) != self.degree:
-                raise NotAGroup("matrix is not square")
+        self.num = num
+        self.den = int(den)
 
     @staticmethod
     def identity(conductor: int, degree: int) -> "RepMatrix":
-        one = CyclotomicNumber.one(conductor)
-        zero = CyclotomicNumber.zero(conductor)
-        return RepMatrix(conductor, [
-            [one if i == j else zero for j in range(degree)]
-            for i in range(degree)
-        ])
+        num = np.zeros((degree, degree, euler_phi(conductor)), dtype=np.int64)
+        num[np.arange(degree), np.arange(degree), 0] = 1
+        return RepMatrix(conductor, num)
 
-    @staticmethod
-    def zero(conductor: int, degree: int) -> "RepMatrix":
-        z = CyclotomicNumber.zero(conductor)
-        return RepMatrix(conductor, [[z] * degree for _ in range(degree)])
+    @property
+    def degree(self) -> int:
+        return self.num.shape[-2]
+
+    def __len__(self) -> int:
+        if self.num.ndim < 4:
+            raise TypeError("a single matrix is not a stack")
+        return self.num.shape[0]
+
+    def __getitem__(self, index) -> "RepMatrix":
+        """A matrix of a stack, or a sub-stack by slice or index list."""
+        if self.num.ndim < 4:
+            raise TypeError("a single matrix is not a stack")
+        if isinstance(index, (list, tuple)):
+            index = np.asarray(index, dtype=np.intp)
+        return RepMatrix(self.conductor, self.num[index], self.den)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def entries(self) -> list:
+        """The entries of a single matrix, as CyclotomicNumbers."""
+        if self.num.ndim != 3:
+            raise TypeError("entries are read from a single matrix")
+        return [[CyclotomicNumber(self.conductor,
+                                  [Fraction(c, self.den) for c in coeffs])
+                 for coeffs in row] for row in self.num.tolist()]
+
+    def _check(self, other: "RepMatrix") -> None:
+        if self.conductor != other.conductor:
+            raise BadConductor(
+                f"mixed conductors {self.conductor} and {other.conductor}")
+        if self.degree != other.degree:
+            raise NotAGroup("matrices of different degrees")
 
     def __mul__(self, other: "RepMatrix") -> "RepMatrix":
-        d = self.degree
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = a[i][0] * b[0][j]
-                for k in range(1, d):
-                    term = a[i][k] * b[k][j]
-                    if not term.is_zero():
-                        acc = acc + term
-                row.append(acc)
-            out.append(row)
-        return RepMatrix(self.conductor, out)
+        """self @ other for one matrix self and a matrix or stack other.
+
+        Block (i, k) of the d*phi x d*phi integer multiplication matrix of
+        self has column t = zeta^t * self[i, k]; one matmul applies it to
+        every matrix of other."""
+        if self.num.ndim != 3:
+            raise TypeError("the left factor must be a single matrix")
+        self._check(other)
+        d, phi = self.degree, self.num.shape[-1]
+        block = _mult_blocks(self.num, self.conductor)  # [i, k, u, t]
+        block = block.transpose(0, 2, 1, 3).reshape(d * phi, d * phi)
+        lead = other.num.shape[:-3]
+        rhs = other.num.swapaxes(-1, -2).reshape(lead + (d * phi, d))
+        dtype = _exact_dtype(d * phi * _max_abs(block) * _max_abs(other.num))
+        out = np.matmul(block.astype(dtype, copy=False),
+                        rhs.astype(dtype, copy=False))
+        out = out.reshape(lead + (d, phi, d)).swapaxes(-1, -2)
+        return RepMatrix(self.conductor, out, self.den * other.den)
+
+    def _common(self, other: "RepMatrix") -> tuple:
+        """Numerators of self and other over the lcm of their denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        dtype = _exact_dtype(ka * _max_abs(self.num) + kb * _max_abs(other.num))
+        return (self.num.astype(dtype) * ka, other.num.astype(dtype) * kb, den)
 
     def __add__(self, other: "RepMatrix") -> "RepMatrix":
-        return RepMatrix(self.conductor, [
-            [x + y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        a, b, den = self._common(other)
+        return RepMatrix(self.conductor, a + b, den)
 
     def __sub__(self, other: "RepMatrix") -> "RepMatrix":
-        return RepMatrix(self.conductor, [
-            [x - y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(self.entries, other.entries)
-        ])
+        a, b, den = self._common(other)
+        return RepMatrix(self.conductor, a - b, den)
 
     def __eq__(self, other):
-        return (isinstance(other, RepMatrix)
-                and self.conductor == other.conductor
-                and self.entries == other.entries)
+        if (not isinstance(other, RepMatrix)
+                or self.conductor != other.conductor
+                or self.num.shape != other.num.shape):
+            return False
+        a, b, _ = self._common(other)
+        return bool(np.array_equal(a, b))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for row in self.entries for c in row)
+        return not np.any(self.num)
 
     def det(self) -> CyclotomicNumber:
-        """Exact determinant by fraction-full Gaussian elimination (the
-        freeness tests' reference for verify_free's norm-sum criterion)."""
+        """Exact determinant of a single matrix by fraction-full Gaussian
+        elimination over CyclotomicNumber (the freeness tests' reference for
+        verify_free's norm-sum criterion)."""
+        m = self.entries
         d = self.degree
-        m = [row[:] for row in self.entries]
         det = CyclotomicNumber.one(self.conductor)
         sign = 1
         for col in range(d):
@@ -118,64 +235,56 @@ class RepMatrix:
                 m[r] = [a - f * b for a, b in zip(m[r], m[col])]
         return det * Fraction(sign)
 
-    def lift(self, conductor: int) -> "RepMatrix":
-        if conductor == self.conductor:
-            return self
-        return RepMatrix(conductor, [
-            [c.lift(conductor) for c in row] for row in self.entries
-        ])
-
-    def kron(self, other: "RepMatrix") -> "RepMatrix":
-        n = lcm(self.conductor, other.conductor)
-        a, b = self.lift(n), other.lift(n)
-        da, db = a.degree, b.degree
-        out = []
-        for i1 in range(da):
-            for i2 in range(db):
-                row = []
-                for j1 in range(da):
-                    for j2 in range(db):
-                        row.append(a.entries[i1][j1] * b.entries[i2][j2])
-                out.append(row)
-        return RepMatrix(n, out)
-
 
 @dataclass
 class Representation:
-    """Per-element matrices forming a verified homomorphism into GL_d."""
+    """A verified homomorphism into GL_d(Q(zeta_n)); images is the stack of
+    the |G| matrices in element order."""
 
     group: Group
     degree: int
     conductor: int
-    images: list  # RepMatrix per element index
+    images: RepMatrix
 
     def validate(self) -> None:
-        G = self.group
-        if len(self.images) != G.order:
+        G, images = self.group, self.images
+        if (images.num.ndim != 4 or len(images) != G.order
+                or images.degree != self.degree
+                or images.conductor != self.conductor):
             raise NotAGroup("one matrix per element required")
-        if self.images[0] != RepMatrix.identity(self.conductor, self.degree):
+        if images[0] != RepMatrix.identity(self.conductor, self.degree):
             raise NotAGroup("identity must map to the identity matrix")
         # multiplicativity on gens x G proves it for all pairs by induction
-        # on word length
+        # on word length.  rho(s) * rho(h) has denominator D^2, so its
+        # numerators must equal D times those of rho(sh).
+        D = images.den
+        step = max(1, _CHUNK // images.num[0].size)
         for s in generating_sequence(G):
-            ms = self.images[s]
-            for h in G.elements():
-                if ms * self.images[h] != self.images[G.mul(s, h)]:
+            left, targets = images[s], G.table[s]
+            for start in range(0, G.order, step):
+                chunk = slice(start, start + step)
+                got = (left * images[chunk]).num
+                want = images.num[targets[chunk]]
+                want = want.astype(_exact_dtype(D * _max_abs(want))) * D
+                ok = (got == want).reshape(len(got), -1).all(axis=1)
+                if not ok.all():
+                    h = start + int(np.flatnonzero(~ok)[0])
                     raise NotAGroup("representation not multiplicative", (s, h))
 
     def to_json(self, group_spec: str | None = None) -> dict:
+        D = self.images.den
         return {
             "group_spec": group_spec or self.group.origin,
             "degree": self.degree,
             "conductor": self.conductor,
             "images": [
                 [
-                    [i, j, [str(c) for c in entry.coeffs]]
-                    for i, row in enumerate(mat.entries)
+                    [i, j, [str(Fraction(c, D)) for c in entry]]
+                    for i, row in enumerate(mat.tolist())
                     for j, entry in enumerate(row)
-                    if not entry.is_zero()
+                    if any(entry)
                 ]
-                for mat in self.images
+                for mat in self.images.num
             ],
         }
 
@@ -184,7 +293,6 @@ class Representation:
 class FreenessReport:
     free: bool
     failing_element: Optional[int]
-    annihilation_checked: bool
 
 
 def verify_free(rep: Representation) -> FreenessReport:
@@ -193,16 +301,12 @@ def verify_free(rep: Representation) -> FreenessReport:
     Some g != 1 fixes a vector v != 0 iff a prime-order power of g does,
     and the vectors C fixes are the image of that norm sum divided by |C|.
     A failing C is reported by its smallest nonidentity element."""
-    zero = RepMatrix.zero(rep.conductor, rep.degree)
+    num = rep.images.num
+    num = num.astype(_exact_dtype(rep.group.order * _max_abs(num)), copy=False)
     for C in cyclic_subgroups(rep.group):
-        if not _is_prime(len(C)):
-            continue
-        total = zero
-        for h in C.elements:
-            total = total + rep.images[h]
-        if not total.is_zero():
-            return FreenessReport(False, C.elements[1], True)
-    return FreenessReport(True, None, True)
+        if is_prime(len(C)) and np.any(num[list(C.elements)].sum(axis=0)):
+            return FreenessReport(False, C.elements[1])
+    return FreenessReport(True, None)
 
 
 # -- constructions -----------------------------------------------------------------
@@ -214,19 +318,19 @@ def scalar_representation(C: Group, dim: int = 1) -> Representation:
     if gen is None:
         raise NotCyclic(f"{C.origin} is not cyclic")
     n = C.order
-    images: list = [None] * n
+    zeta = _field(n)[0]
+    power = [0] * n  # element gen^k -> k
     x, k = 0, 0
     while True:
-        z = CyclotomicNumber.zeta(n, k)
-        images[x] = RepMatrix(n, [
-            [z if i == j else CyclotomicNumber.zero(n) for j in range(dim)]
-            for i in range(dim)
-        ])
+        power[x] = k
         x = C.mul(x, gen)
         k += 1
         if x == 0:
             break
-    rep = Representation(C, dim, n, images)
+    num = np.zeros((n, dim, dim, zeta.shape[1]), dtype=zeta.dtype)
+    diag = np.arange(dim)
+    num[:, diag, diag] = zeta[power][:, None, :]
+    rep = Representation(C, dim, n, RepMatrix(n, num))
     rep.validate()
     return rep
 
@@ -245,7 +349,7 @@ def induced_representation(G: Group, H: Subgroup, character_exponent: int = 1
     if gcd(character_exponent, m) != 1:
         raise NotFaithful(
             f"character exponent {character_exponent} not coprime to {m}")
-    dlog = {}
+    dlog = np.zeros(G.order, dtype=np.int64)
     x, k = 0, 0
     while True:
         dlog[x] = k
@@ -254,72 +358,78 @@ def induced_representation(G: Group, H: Subgroup, character_exponent: int = 1
         if x == 0:
             break
     # left coset representatives, fixed as minimal element indices
-    coset_of = [-1] * G.order
-    reps = []
+    coset_of = np.full(G.order, -1, dtype=np.int64)
+    reps, members = [], list(H.elements)
     for g in range(G.order):
         if coset_of[g] < 0:
-            for h in H.elements:
-                coset_of[G.mul(g, h)] = len(reps)
+            coset_of[G.table[g, members]] = len(reps)
             reps.append(g)
     t = len(reps)
-    zero = CyclotomicNumber.zero(m)
-    images = []
-    for g in range(G.order):
-        mat = [[zero] * t for _ in range(t)]
-        for i, gi in enumerate(reps):
-            prod = G.mul(g, gi)
-            j = coset_of[prod]
-            h = G.mul(G.inv(reps[j]), prod)
-            mat[j][i] = CyclotomicNumber.zeta(m, character_exponent * dlog[h])
-        images.append(RepMatrix(m, mat))
-    rep = Representation(G, t, m, images)
+    # g * reps[i] = reps[j] * h puts zeta^(e * dlog h) at (j, i) of rho(g)
+    prods = G.table[:, reps]
+    js = coset_of[prods]
+    hs = G.table[G.inverse[np.asarray(reps)[js]], prods]
+    zeta = _field(m)[0]
+    num = np.zeros((G.order, t, t, zeta.shape[1]), dtype=zeta.dtype)
+    num[np.arange(G.order)[:, None], js, np.arange(t)[None, :]] = \
+        zeta[(character_exponent * dlog[hs]) % m]
+    rep = Representation(G, t, m, RepMatrix(m, num))
     rep.validate()
     return rep
 
 
-# quadratic-field tag -> (conductor, sqrt image)
-_SQRT_CONDUCTOR = {1: 4, 2: 8, 5: 20}
-
-
-def _sqrt_in_cyclotomic(d: int, conductor: int) -> CyclotomicNumber:
-    if d == 2:
-        # sqrt2 = zeta8 + zeta8^-1
-        return (CyclotomicNumber.zeta(conductor, conductor // 8)
-                + CyclotomicNumber.zeta(conductor, -conductor // 8))
-    if d == 5:
-        # sqrt5 = 2*(zeta5 + zeta5^-1) + 1
-        z = CyclotomicNumber.zeta(conductor, conductor // 5)
-        zi = CyclotomicNumber.zeta(conductor, -(conductor // 5))
-        return 2 * (z + zi) + CyclotomicNumber.one(conductor)
-    raise NotAGroup(f"no square root for tag {d}")
+# quadratic-field tag -> (conductor n, sqrt(tag) as {power of zeta_n: coefficient}):
+# sqrt2 = zeta8 + zeta8^-1, sqrt5 = 1 + 2*(zeta5 + zeta5^-1) with zeta5 = zeta20^4
+_SQRT = {1: (4, {}), 2: (8, {1: 1, -1: 1}), 5: (20, {0: 1, 4: 2, -4: 2})}
 
 
 def quaternion_embedding_rep(G: Group) -> Representation:
     """q = a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] over Q(zeta_4/8/20)."""
     if G.quaternions is None:
         raise NoQuaternionLabels(f"{G.origin} carries no quaternion labels")
-    tag = G.quaternions[0].d
-    n = _SQRT_CONDUCTOR[tag]
-    imag = CyclotomicNumber.zeta(n, n // 4)
-    if tag == 1:
-        def field(c):
-            return CyclotomicNumber.rational(n, c.a)
-    else:
-        root = _sqrt_in_cyclotomic(tag, n)
-
-        def field(c):
-            return CyclotomicNumber.rational(n, c.a) + Fraction(c.b) * root
-
-    images = []
-    for q in G.quaternions:
-        a, b, c, d = field(q.w), field(q.x), field(q.y), field(q.z)
-        images.append(RepMatrix(n, [
-            [a + b * imag, c + d * imag],
-            [-c + d * imag, a - b * imag],
-        ]))
-    rep = Representation(G, 2, n, images)
+    n, sqrt_terms = _SQRT[G.quaternions[0].d]
+    zeta = _field(n)[0].astype(object)
+    root = np.zeros_like(zeta[0])
+    for power, c in sqrt_terms.items():
+        root = root + c * zeta[power % n]
+    # component u + v*sqrt(tag) of each quaternion, over one denominator
+    parts = [(c.a, c.b) for q in G.quaternions for c in (q.w, q.x, q.y, q.z)]
+    den = lcm(1, *(f.denominator for uv in parts for f in uv))
+    uv = np.array([[int(u * den), int(v * den)] for u, v in parts], dtype=object)
+    a, b, c, d = (uv @ np.stack([zeta[0], root])).reshape(
+        len(G.quaternions), 4, -1).swapaxes(0, 1)
+    imag = _mult_blocks(zeta[n // 4], n).T  # v @ imag is zeta_4 * v
+    bi, di = b @ imag, d @ imag
+    num = np.stack([np.stack([a + bi, c + di], axis=1),
+                    np.stack([di - c, a - bi], axis=1)], axis=1)
+    num = num.astype(_exact_dtype(_max_abs(num)))
+    rep = Representation(G, 2, n, RepMatrix(n, num, den))
     rep.validate()
     return rep
+
+
+def _lift(images: RepMatrix, n: int) -> np.ndarray:
+    """Numerators of images under Q(zeta_m) -> Q(zeta_n), zeta_m = zeta_n^(n/m):
+    one integer matrix whose row i is the coefficient row of zeta_n^(i n/m)."""
+    m = images.conductor
+    if m == n:
+        return images.num
+    zeta, _, rho = _field(n)
+    phi_m = images.num.shape[-1]
+    lift = zeta[np.arange(phi_m) * (n // m)]
+    dtype = _exact_dtype(phi_m * _max_abs(images.num) * rho)
+    return images.num.astype(dtype) @ lift.astype(dtype)
+
+
+def _entry_products(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Every product of an entry of x with an entry of y in Q(zeta_n), through
+    the multiplication blocks of x: shape x.shape + y.shape[:-1]."""
+    blocks = _mult_blocks(x, n)
+    phi = x.shape[-1]
+    dtype = _exact_dtype(phi * _max_abs(blocks) * _max_abs(y))
+    out = (blocks.reshape(-1, phi).astype(dtype, copy=False)
+           @ y.reshape(-1, phi).T.astype(dtype, copy=False))
+    return out.reshape(x.shape + y.shape[:-1])
 
 
 def tensor_product_rep(rep_a: Representation, rep_b: Representation,
@@ -336,12 +446,17 @@ def tensor_product_rep(rep_a: Representation, rep_b: Representation,
             or product.factors[1] is not B:
         raise NotAGroup("tensor target must be the direct product of A and B")
     n = lcm(rep_a.conductor, rep_b.conductor)
-    nb = B.order
-    images = []
-    for g in range(product.order):
-        a, b = g // nb, g % nb
-        images.append(rep_a.images[a].kron(rep_b.images[b]).lift(n))
-    rep = Representation(product, rep_a.degree * rep_b.degree, n, images)
+    a, b = _lift(rep_a.images, n), _lift(rep_b.images, n)
+    # entry (i1 db + i2, j1 db + j2) of rho(x nb + y) is a[x,i1,j1] * b[y,i2,j2];
+    # the multiplication blocks are built for the factor with fewer entries
+    if a.size <= b.size:
+        out = _entry_products(a, b, n).transpose(0, 4, 1, 5, 2, 6, 3)
+    else:
+        out = _entry_products(b, a, n).transpose(4, 0, 5, 1, 6, 2, 3)
+    degree = rep_a.degree * rep_b.degree
+    num = out.reshape(product.order, degree, degree, -1)
+    images = RepMatrix(n, num, rep_a.images.den * rep_b.images.den)
+    rep = Representation(product, degree, n, images)
     rep.validate()
     return rep
 
@@ -354,9 +469,8 @@ def transport(rep: Representation, iso: Homomorphism) -> Representation:
     rep.group."""
     if iso.target is not rep.group or not iso.is_bijective():
         raise NotAGroup("transport needs an isomorphism onto the rep's group")
-    out = Representation(
-        iso.source, rep.degree, rep.conductor,
-        [rep.images[iso(g)] for g in range(iso.source.order)])
+    out = Representation(iso.source, rep.degree, rep.conductor,
+                         rep.images[iso.map])
     out.validate()
     return out
 
@@ -365,9 +479,8 @@ def restrict(rep: Representation, H: Subgroup) -> Representation:
     """Restriction to a subgroup, over the subgroup's standalone Group."""
     if H.parent is not rep.group:
         raise NotAGroup("subgroup bound to a different group")
-    out = Representation(
-        H.as_group(), rep.degree, rep.conductor,
-        [rep.images[g] for g in H.elements])
+    out = Representation(H.as_group(), rep.degree, rep.conductor,
+                         rep.images[H.elements])
     out.validate()
     return out
 
@@ -375,13 +488,8 @@ def restrict(rep: Representation, H: Subgroup) -> Representation:
 def prime_order_hull(G: Group) -> Subgroup:
     """Subgroup generated by all elements of prime order."""
     orders = G.element_orders()
-    gens = [g for g in range(1, G.order)
-            if _is_prime(orders[g])]
+    gens = [g for g in range(1, G.order) if is_prime(orders[g])]
     return subgroup_generated(G, gens)
-
-
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
 def build_free_representation(G: Group) -> Optional[Representation]:
@@ -417,8 +525,10 @@ def build_free_representation(G: Group) -> Optional[Representation]:
     if ctype in (SYLOW_CYCLIC, QUATERNION_TYPE):
         hull = prime_order_hull(G)
         orders = G.element_orders()
-        assert any(orders[h] == len(hull) for h in hull.elements), \
-            "prime-order hull of a freely representable group must be cyclic"
+        if not any(orders[h] == len(hull) for h in hull.elements):
+            raise InvariantViolated(
+                f"{G.origin}: prime-order hull of a freely representable "
+                "group must be cyclic")
         return induced_representation(G, hull, 1)
     if ctype == BINARY_TETRAHEDRAL_TYPE and G.order % 9 != 0:
         return _binary_tetrahedral_rep(G, odd_core(G))
@@ -435,9 +545,11 @@ def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
     Q8 = sylow_subgroup(G, 2)
     C3 = sylow_subgroup(G, 3)
     H = subgroup_generated(G, list(Q8.elements) + list(C3.elements))
-    assert len(H) == 24
-    assert core.elset & H.elset == {0}
-    assert len(core) * 24 == G.order
+    if (len(H) != 24 or core.elset & H.elset != {0}
+            or len(core) * 24 != G.order):
+        raise InvariantViolated(
+            f"{G.origin}: not the direct product of its odd core and a "
+            "subgroup of order 24")
     OG = core.as_group()
     HG = H.as_group()
     product = direct_product(OG, HG)
@@ -447,12 +559,15 @@ def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
         for ih, h in enumerate(H.elements):
             index_map[G.mul(o, h)] = io * 24 + ih
     iso = Homomorphism(G, product, index_map)
-    assert iso.is_bijective()
+    if not iso.is_bijective():
+        raise InvariantViolated(f"{G.origin}: g = o*h is not a bijection")
 
     rep_o = build_free_representation(OG)
-    assert rep_o is not None
+    if rep_o is None:
+        raise InvariantViolated(f"{OG.origin}: odd core has no representation")
     model = finite_quaternion_group(hurwitz_tetrahedral_generators())
     psi = is_isomorphic(HG, model)
-    assert psi is not None
+    if psi is None:
+        raise InvariantViolated(f"{G.origin}: order-24 subgroup is not 2T")
     rep_h = transport(quaternion_embedding_rep(model), psi)
     return transport(tensor_product_rep(rep_o, rep_h, product=product), iso)

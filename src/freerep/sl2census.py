@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .cyclotomic import is_prime
 from .errors import BadParams
 from .groups import (
     Group,
@@ -32,12 +33,8 @@ def sl2_group(p: int) -> Group:
     return _groups[p]
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
-
-
 def _require_odd_prime(p: int) -> None:
-    if not _is_prime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise BadParams(f"{p} is not an odd prime")
 
 
@@ -254,7 +251,7 @@ def fermat_pq_witness(p: int) -> Optional[Subgroup]:
     _require_odd_prime(p)
     if is_fermat_prime(p):
         return None
-    r = next(q for q in range(3, p, 2) if (p - 1) % q == 0 and _is_prime(q))
+    r = next(q for q in range(3, p, 2) if (p - 1) % q == 0 and is_prime(q))
     G = sl2_group(p)
     g = _primitive_root(p)
     a = pow(g, (p - 1) // r, p)

@@ -9,7 +9,6 @@ import pytest
 from freerep.errors import BadConductor
 from freerep.cyclotomic import (
     CyclotomicNumber,
-    conductor_lift,
     cyclotomic_polynomial,
     euler_phi,
 )
@@ -74,11 +73,6 @@ def test_lift_compatible_with_roots():
 def test_lift_rejects_bad_conductor():
     with pytest.raises(BadConductor):
         CyclotomicNumber.zeta(4).lift(6)
-
-
-def test_conductor_lift_function():
-    assert conductor_lift(CyclotomicNumber.zeta(4), 8) == \
-        CyclotomicNumber.zeta(8, 2)
 
 
 def test_rational_detection():

@@ -16,6 +16,7 @@ import pytest
 
 from corpus import norm_relation_corpus
 from freerep import normrel
+from freerep.cyclotomic import is_prime
 from freerep.errors import NotAPartition, ParentMismatch
 from freerep.groups import (
     Subgroup,
@@ -349,7 +350,7 @@ class _FractionBasis:
     def __init__(self, G):
         self.group = G
         self.subgroups = [C for C in cyclic_subgroups(G)
-                          if normrel._is_prime(len(C))]
+                          if is_prime(len(C))]
         self.rows = []
         self.generators = []  # (subgroup_index, coset_rep)
 
@@ -490,7 +491,7 @@ def test_small_primes_retry_and_combine_to_the_same_answer(monkeypatch):
 
 
 def _proof_parts(G):
-    subgroups = [C for C in cyclic_subgroups(G) if normrel._is_prime(len(C))]
+    subgroups = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
     stream = normrel._generator_stream(G, subgroups)
     ech = normrel._eliminate(stream, G.order, normrel.MODULUS_LIMIT - 1,
                              True, None)

@@ -2,8 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from contextlib import redirect_stdout
+from math import lcm
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from freerep import represent
+from freerep.cli import main
 from freerep.errors import (
     NotAGroup,
     NotCoprime,
@@ -30,6 +44,7 @@ from freerep.cyclotomic import CyclotomicNumber
 from freerep.quaternions import (
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
+    binary_icosahedral_generators,
     binary_octahedral_generators,
     I,
     J,
@@ -50,17 +65,53 @@ from freerep.represent import (
 
 # -- RepMatrix basics ---------------------------------------------------------------
 
+def _matrix(conductor, entries):
+    """RepMatrix (or stack) of nested lists of CyclotomicNumber, as
+    numerators over their common denominator."""
+    cells = np.array(entries, dtype=object)
+    den = lcm(1, *(c.denominator for x in cells.flat for c in x.coeffs))
+    num = [[int(c * den) for c in x.coeffs] for x in cells.flat]
+    return RepMatrix(conductor, np.array(num).reshape(cells.shape + (-1,)), den)
+
+
+def test_entries_round_trip():
+    z, half = CyclotomicNumber.zeta(12, 5), CyclotomicNumber.rational(12, "1/2")
+    entries = [[z, half], [half * z, CyclotomicNumber.zero(12)]]
+    m = _matrix(12, entries)
+    assert m.den == 2 and m.entries == entries
+
+
+def test_batched_product_matches_entrywise_products():
+    # one matrix times a whole stack, against CyclotomicNumber row-by-column
+    reps = [quaternion_embedding_rep(finite_quaternion_group(gens))
+            for gens in (binary_octahedral_generators(),
+                         binary_icosahedral_generators())]
+    reps.append(build_free_representation(
+        direct_product(cyclic(5), generalized_quaternion(8))))
+    for rep in reps:
+        G, d = rep.group, rep.degree
+        for s in (1, G.order - 1):
+            a = rep.images[s].entries
+            batch = rep.images[s] * rep.images
+            for h in range(G.order):
+                b = rep.images[h].entries
+                want = [[sum((a[i][k] * b[k][j] for k in range(1, d)),
+                             a[i][0] * b[0][j]) for j in range(d)]
+                        for i in range(d)]
+                assert batch[h].entries == want, (G.origin, s, h)
+
+
 def test_det_of_scalar_companion():
     # diag(zeta5, zeta5) has determinant zeta5^2
     z = CyclotomicNumber.zeta(5)
     zero = CyclotomicNumber.zero(5)
-    m = RepMatrix(5, [[z, zero], [zero, z]])
+    m = _matrix(5, [[z, zero], [zero, z]])
     assert m.det() == CyclotomicNumber.zeta(5, 2)
 
 
 def test_det_singular():
     one = CyclotomicNumber.one(4)
-    m = RepMatrix(4, [[one, one], [one, one]])
+    m = _matrix(4, [[one, one], [one, one]])
     assert m.det().is_zero()
 
 
@@ -74,7 +125,7 @@ def test_scalar_rep_trivial_group():
 def test_scalar_rep_c6():
     rep = scalar_representation(cyclic(6), 1)
     report = verify_free(rep)
-    assert report.free and report.annihilation_checked
+    assert report.free
 
 
 def test_scalar_rep_c4_dim2():
@@ -87,8 +138,8 @@ def test_regular_rep_of_c2_not_free():
     # permutation matrices fix the all-ones vector
     G = cyclic(2)
     one, zero = CyclotomicNumber.one(1), CyclotomicNumber.zero(1)
-    images = [RepMatrix(1, [[one, zero], [zero, one]]),
-              RepMatrix(1, [[zero, one], [one, zero]])]
+    images = _matrix(1, [[[one, zero], [zero, one]],
+                         [[zero, one], [one, zero]]])
     rep = Representation(G, 2, 1, images)
     rep.validate()
     report = verify_free(rep)
@@ -233,6 +284,30 @@ def test_tensor_q8_c7():
     assert verify_free(rep).free
 
 
+def test_tensor_of_two_nonscalar_reps_is_the_kronecker_product():
+    # degrees 2 and 3, so the row and column order of the Kronecker index
+    # matters; both argument orders, so both factors serve as the one whose
+    # multiplication blocks are built
+    q8 = quaternion_embedding_rep(finite_quaternion_group([I, J]))
+    F21 = sd(7, 3, 2)
+    a7 = next(g for g in range(21) if F21.element_order(g) == 7)
+    mono = induced_representation(F21, subgroup_generated(F21, [a7]), 1)
+    for ra, rb in ((q8, mono), (mono, q8)):
+        rep = tensor_product_rep(ra, rb)  # validated on construction
+        assert (rep.degree, rep.conductor) == (6, 28)
+        nb, db = rb.group.order, rb.degree
+        for x in range(ra.group.order):
+            a = ra.images[x].entries
+            for y in range(0, nb, 3):
+                b = rb.images[y].entries
+                got = rep.images[x * nb + y].entries
+                for r in range(6):
+                    for c in range(6):
+                        (i1, i2), (j1, j2) = divmod(r, db), divmod(c, db)
+                        assert got[r][c] == \
+                            a[i1][j1].lift(28) * b[i2][j2].lift(28), (x, y, r, c)
+
+
 def test_tensor_rejects_non_coprime():
     with pytest.raises(NotCoprime):
         tensor_product_rep(scalar_representation(cyclic(2)),
@@ -288,10 +363,16 @@ def test_validate_catches_wrong_image_off_the_generators():
         gens = generating_sequence(G)
         others = [g for g in range(1, G.order) if g not in gens]
         for g in (others[0], others[-1]):
-            images = list(rep.images)
-            images[g] = RepMatrix.identity(rep.conductor, rep.degree)
             with pytest.raises(NotAGroup, match="not multiplicative"):
-                Representation(G, rep.degree, rep.conductor, images).validate()
+                _with_identity_at(rep, g).validate()
+
+
+def _with_identity_at(rep, g):
+    """rep with the image of g replaced by the identity matrix."""
+    num = rep.images.num.copy()
+    num[g] = RepMatrix.identity(rep.conductor, rep.degree).num * rep.images.den
+    return Representation(rep.group, rep.degree, rep.conductor,
+                          RepMatrix(rep.conductor, num, rep.images.den))
 
 
 def test_build_rejects_non_fr():
@@ -348,15 +429,13 @@ def test_restriction_of_free_rep_is_free():
 
 
 def test_norm_annihilation_for_all_subgroups():
-    from freerep.represent import RepMatrix as RM
-
     G = generalized_quaternion(8)
     rep = build_free_representation(G)
     for H in all_subgroups(G):
         if len(H) == 1:
             continue
-        total = RM.zero(rep.conductor, rep.degree)
-        for h in H.elements:
+        total = rep.images[0]
+        for h in H.elements[1:]:
             total = total + rep.images[h]
         assert total.is_zero()
 
@@ -391,3 +470,164 @@ def test_representation_json_sparse_cyclotomic_entries():
     for i, j, coeffs in entries:
         assert i == j
         assert len(coeffs) == 2  # phi(4) rational strings
+
+
+# -- oracles and regressions ------------------------------------------------------------
+
+def test_multiplicative_on_all_pairs_entry_by_entry():
+    # validate checks gens x G on integer arrays; rho(g) rho(h) == rho(gh)
+    # on every pair, multiplied out with CyclotomicNumber, is its oracle
+    for rep in _small_representations():
+        G = rep.group
+        rows = [[[(j, x) for j, x in enumerate(row) if not x.is_zero()]
+                 for row in m.entries] for m in rep.images]
+        for g in range(G.order):
+            for h in range(G.order):
+                product = []
+                for a_row in rows[g]:
+                    total = {}
+                    for k, x in a_row:
+                        for j, y in rows[h][k]:
+                            total[j] = total[j] + x * y if j in total else x * y
+                    product.append(sorted((j, x) for j, x in total.items()
+                                          if not x.is_zero()))
+                assert product == rows[G.mul(g, h)], (G.origin, g, h)
+
+
+# sha256 of `freerep [--json] represent <spec>` stdout, recorded while the
+# representation layer still computed with Fraction-based CyclotomicNumbers
+REPRESENT_STDOUT_SHA256 = {
+    ("sd(7,9,2)", "json"):
+        "1ae3c0f9fd581c0d0e3e3fafbfc1fa13c6eb91d7ddde106e02da7824b74997c9",
+    ("sd(7,9,2)", "text"):
+        "5f1a9c174476ac78ed6e5240e4c219c4a75b6f54ecd917821eb25bd48cb1ca7d",
+    ("2O", "json"):
+        "e9191d8e9cc6b23fe6206259e23af48993e46fabdac23272f370152072e55c0c",
+    ("2O", "text"):
+        "ffd1bab27794ddf2168adeabed87fbf55a153726826fb62ab643cb03cb51f8dd",
+    ("2T", "json"):
+        "8c87da8db2b2445afd849c4bbecc534404aaf037ee108048bfca9ea5d81b41ae",
+    ("2T", "text"):
+        "9d8fb2ca606a7a9ef0489bdc6578ae06e464e65b5d8d8280bae835f2f87b2990",
+    ("Q16", "json"):
+        "db68f98174b7a326c9db0e208ee07907cbe7e821af79e293e63858438d03df3f",
+    ("Q16", "text"):
+        "6ddb179e43e7a011406a7f9bee965274b9f4567ce4569789f174afab5c8f13f5",
+    ("prod(C7,Q8)", "json"):
+        "6d3605f44bdae6e0f41ef983f46e80cbe9cfdaf1bd88a7a9a801506ae936cd68",
+    ("prod(C7,Q8)", "text"):
+        "6bd3637791715241647660e6e6fd5880f69df31c4520e9a566410dcb4e1deec0",
+    ("prod(C5,Q8)", "json"):
+        "5275e0ccdb5dd096b0403827c0e96969e09321896b3c234ca3f1cf2e7ea79607",
+    ("prod(C5,Q8)", "text"):
+        "6e78f07756617a1e64407fc4626f5c8a581dd7c7bb05d0810a4709ae486da419",
+    ("C21", "json"):
+        "39e8c274ab008d03788e32844fb8958adc77f19ffff516d58c77c7d4b4ad3ab1",
+    ("C21", "text"):
+        "c26c7f9b2fb9447de10256ac88bfdebd5a475003e816e828126c394f208c5e6f",
+    ("D35", "json"):
+        "3abeb02d0425367fd1f513f96718afe72c90b35370746695f93f0af5c9c10138",
+    ("D35", "text"):
+        "2f214fdc8d5ddb12c90b9092e4f6a3526804e96a5bad4a5919c7605a8254dd68",
+    ("C8", "json"):
+        "82ae6ae864b697660652a0b3f5aa4b56d4a4b7a3d99e22d1dc262f5f2aac09cf",
+    ("C8", "text"):
+        "6a575e8539f4ba7eecaff9988f56fe55cb3727e3c1c1ef22acdde55e6d061030",
+    ("Q8", "json"):
+        "0c0861870fdc54608aef33d4d8632149ef20174587e1176832fca6f60c2c834c",
+    ("Q8", "text"):
+        "90c33215f4a72f1165f07f8f93f6d66d2cc55dac68c0b9f06e6dfb37f7c861a7",
+    ("2D25", "json"):
+        "b0feacedeb25e1fe3b7fe0269b45a3643815b17fe54409549c016603d2925fcb",
+    ("2D25", "text"):
+        "5c58ff61908b6fad1911768ec11abe5171c9362a2d5ec973a429b2de440549ee",
+    ("prod(C5,SL2(3))", "json"):
+        "68ad323b0b8435fd96b91452ae051c197cfec8c5c1b3014c24a2f55b347692d0",
+    ("prod(C5,SL2(3))", "text"):
+        "8aee3cf717e08f269cafee22eacbe5d7eac19110ab1299fdffe7e39aa2f1cba6",
+    ("prod(C7,SL2(5))", "json"):
+        "4f5c6c66830f6868f88dffee2b7ffb7721019ac9e5acab61b7214808ccde3492",
+    ("prod(C7,SL2(5))", "text"):
+        "53edd4e4b39599e8702aa164f1e7d3dfe8ffa0c83d4b30f04022afc661d151d1",
+    ("prod(C11,2T)", "json"):
+        "a2cc08d3dd9d6f88a4e45c7407729ad4e23fe53c1d7b7a6af8d2fecdc9ba0a87",
+    ("prod(C11,2T)", "text"):
+        "14f8b1722b10e12f38e1e8e12abae166d0046d6e742ffdb3cb539d061284ee87",
+    ("sd(7,27,2)", "json"):
+        "5be57c9dbf2eb4becb1e8e1e9dec5acd690b1cc4bffec4a97383eee81fab8d4f",
+    ("sd(7,27,2)", "text"):
+        "2d9177ea0c91eae4375c34c0f291fc257c055eb902aff56a1ddf71c1a92e311b",
+}
+
+
+@pytest.mark.parametrize("spec,mode", sorted(REPRESENT_STDOUT_SHA256))
+def test_represent_stdout_is_unchanged(spec, mode):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main((["--json"] if mode == "json" else []) + ["represent", spec]) == 0
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == REPRESENT_STDOUT_SHA256[spec, mode]
+
+
+def _scaled_rep(rep, k):
+    """rep with numerators and denominator multiplied by k, as Python ints."""
+    images = RepMatrix(rep.conductor, rep.images.num.astype(object) * k,
+                       rep.images.den * k)
+    return Representation(rep.group, rep.degree, rep.conductor, images)
+
+
+def test_python_int_fallback_matches_int64(monkeypatch):
+    # numerators and denominator times 2^40 push every product past int64,
+    # so validate, verify_free and to_json run on Python ints; the answers
+    # must not change, and a wrong image must still be caught
+    chosen = []
+    exact_dtype = represent._exact_dtype
+
+    def spy(bound):
+        chosen.append(exact_dtype(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(represent, "_exact_dtype", spy)
+    D5 = dihedral(5)
+    reps = [build_free_representation(G) for G in (
+        sd(7, 9, 2), binary_polyhedral("2O"), generalized_quaternion(16),
+        direct_product(cyclic(5), generalized_quaternion(8)))]
+    reps.append(induced_representation(D5, subgroup_generated(D5, [1]), 1))
+    for rep in reps:
+        big = _scaled_rep(rep, 2 ** 40)
+        for r, path in ((rep, np.int64), (big, object)):
+            chosen.clear()
+            r.validate()
+            assert path in chosen
+            assert path is object or object not in chosen
+        assert big.images.num.dtype == object
+        assert verify_free(big) == verify_free(rep)
+        assert big.to_json() == rep.to_json()
+        gens = generating_sequence(rep.group)
+        g = next(x for x in range(rep.group.order - 1, 0, -1) if x not in gens)
+        for r in (rep, big):
+            with pytest.raises(NotAGroup, match="not multiplicative"):
+                _with_identity_at(r, g).validate()
+    report = verify_free(_scaled_rep(reps[-1], 2 ** 40))
+    assert not report.free and report.failing_element == 5
+
+
+def test_represent_survives_python_O():
+    # the construction's invariants are explicit raises, so python -O keeps
+    # them; the binary tetrahedral route runs through all of them
+    code = textwrap.dedent("""
+        import json, sys
+        from freerep.cli import main
+        if __debug__:
+            sys.exit("not running under python -O")
+        sys.exit(main(["--json", "represent", "prod(C5,SL2(3))"]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["verified_free"] is True
+    assert (data["degree"], data["conductor"]) == (2, 20)
