@@ -6,8 +6,8 @@ free representations, and reproduces the desk-scale structural
 classification (Sylow-cycloidal types, MCC subgroups, SL2(F_p) census).
 """
 
+from .run import limits
 from .groups import (
-    Deadline,
     Group,
     Homomorphism,
     Subgroup,
@@ -45,7 +45,6 @@ from .normrel import (
     find_norm_relation,
     norm_element,
     partition_relation,
-    verify_certificate,
 )
 from .represent import (
     Representation,
@@ -75,9 +74,8 @@ __all__ = [
     "quaternion_embedding_rep",
     "scalar_representation",
     "tensor_product_rep",
-    "verify_certificate",
     "verify_free",
-    "Deadline",
+    "limits",
     "Group",
     "Homomorphism",
     "Subgroup",

@@ -5,11 +5,12 @@ freely-representable verdict with independently checkable witnesses."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .cyclotomic import is_prime
-from .errors import NotCycloidal, NotSylowCyclic
+from .cyclotomic import is_prime, prime_factors
+from .errors import InvariantViolated, NotCycloidal, NotSylowCyclic
 from .groups import (
     Group,
     Subgroup,
@@ -27,42 +28,18 @@ from .groups import (
     sylow_subgroup,
     trivial_subgroup,
 )
+from .run import check_deadline
+from .sl2census import sl2_group
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
-_canonical_cache: dict = {}
 
+@lru_cache(maxsize=None)
+def _binary_octahedral_model() -> Group:
+    """The reference 2O for isomorphism matching, built once."""
+    from .constructors import binary_polyhedral
 
-def _canonical(name: str) -> Group:
-    """Reference models for isomorphism matching (2T, 2O, SL2(5))."""
-    if name not in _canonical_cache:
-        from .constructors import binary_polyhedral
-        from .sl2census import sl2_group
-
-        if name == "2T":
-            _canonical_cache[name] = sl2_group(3)
-        elif name == "2O":
-            _canonical_cache[name] = binary_polyhedral("2O")
-        elif name == "SL2(5)":
-            _canonical_cache[name] = sl2_group(5)
-        elif name == "SL2(17)":
-            _canonical_cache[name] = sl2_group(17)
-        else:
-            raise KeyError(name)
-    return _canonical_cache[name]
-
-
-def _prime_factors(n: int) -> list:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return binary_polyhedral("2O")
 
 
 # -- Sylow profile ---------------------------------------------------------------
@@ -79,7 +56,7 @@ def sylow_profile(G: Group) -> dict:
     """One Sylow subgroup per prime, classified by shape."""
     profile = {}
     orders = G.element_orders()
-    for p in _prime_factors(G.order):
+    for p in prime_factors(G.order):
         P = sylow_subgroup(G, p)
         size = len(P)
         if any(orders[g] == size for g in P.elements):
@@ -123,6 +100,7 @@ def odd_core(G: Group) -> Subgroup:
     seen = set()
     odd_closures = []
     for g in range(1, G.order):
+        check_deadline()
         if orders[g] % 2 == 0:
             continue
         C = frozenset(mulclose(G, [g]))
@@ -137,8 +115,10 @@ def odd_core(G: Group) -> Subgroup:
         if N.elset <= core.elset:
             continue
         core = subgroup_generated(G, list(core.elements) + list(N.elements))
-        assert len(core) % 2 == 1, "join of odd normal subgroups must stay odd"
-    assert core.is_normal()
+        if len(core) % 2 == 0:
+            raise InvariantViolated("join of odd normal subgroups must stay odd")
+    if not core.is_normal():
+        raise InvariantViolated("the odd core must be normal")
     return core
 
 
@@ -171,12 +151,13 @@ def cycloidal_type(G: Group, profile: Optional[dict] = None) -> str:
     if n & (n - 1) == 0 and n >= 8:
         from .constructors import generalized_quaternion
 
-        assert is_isomorphic(Q, generalized_quaternion(n)) is not None, \
-            "2-group quotient is neither cyclic nor generalized quaternion"
+        if is_isomorphic(Q, generalized_quaternion(n)) is None:
+            raise InvariantViolated(
+                "2-group quotient is neither cyclic nor generalized quaternion")
         return QUATERNION_TYPE
-    if n == 24 and is_isomorphic(Q, _canonical("2T")) is not None:
+    if n == 24 and is_isomorphic(Q, sl2_group(3)) is not None:
         return BINARY_TETRAHEDRAL_TYPE
-    if n == 48 and is_isomorphic(Q, _canonical("2O")) is not None:
+    if n == 48 and is_isomorphic(Q, _binary_octahedral_model()) is not None:
         return BINARY_OCTAHEDRAL_TYPE
     raise NotCycloidal(f"G/O(G) of order {n} matches no cycloidal type")
 
@@ -192,13 +173,16 @@ def mcc_subgroup(G: Group) -> Subgroup:
     A = commutator_subgroup(G)
     mu = centralizer(G, A.elements)
     orders = G.element_orders()
-    assert any(orders[g] == len(mu) for g in mu.elements), "mu(G) must be cyclic"
-    assert mu.is_normal(), "mu(G) must be normal (hence unique of its order)"
+    if not any(orders[g] == len(mu) for g in mu.elements):
+        raise InvariantViolated("mu(G) must be cyclic")
+    if not mu.is_normal():
+        raise InvariantViolated("mu(G) must be normal (hence unique of its order)")
     Z = center(G)
     product = {G.mul(a, z) for a in A.elements for z in Z.elements}
-    assert product == set(mu.elements), "mu(G) != G'Z(G)"
-    assert G.order == 1 or len(mu) > G.order // len(mu), \
-        "|mu(G)| must exceed its index"
+    if product != set(mu.elements):
+        raise InvariantViolated("mu(G) != G'Z(G)")
+    if G.order > 1 and len(mu) <= G.order // len(mu):
+        raise InvariantViolated("|mu(G)| must exceed its index")
     return mu
 
 
@@ -211,6 +195,7 @@ def is_semiprime_cyclic(G: Group) -> tuple:
     primes = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
     orders = G.element_orders()
     for i, C1 in enumerate(primes):
+        check_deadline()
         g1 = C1.elements[1]
         p = len(C1)
         for C2 in primes[i + 1:]:
@@ -284,7 +269,7 @@ def _suzuki_zassenhaus_structure(G: Group) -> Optional[dict]:
         E = perfect_core(HG)
         if len(E) != 120:
             continue
-        if is_isomorphic(E.as_group(), _canonical("SL2(5)")) is None:
+        if is_isomorphic(E.as_group(), sl2_group(5)) is None:
             continue
         M = _odd_part_of_centralizer(HG, E)
         if len(E) * len(M) != HG.order:
@@ -318,19 +303,17 @@ def _embedded_fermat_sl2(G: Group) -> Optional[tuple]:
         if size > G.order:
             break
         if size == G.order:
-            if is_isomorphic(G, _canonical(f"SL2({p})")) is not None:
+            if is_isomorphic(G, sl2_group(p)) is not None:
                 from .groups import full_subgroup
 
                 return p, full_subgroup(G)
     return None
 
 
-def is_freely_representable(G: Group, *,
-                            _semiprime: Optional[tuple] = None
-                            ) -> FreelyRepresentableVerdict:
+def is_freely_representable(G: Group) -> FreelyRepresentableVerdict:
     """Uniform decision: semiprime-cyclic scan, then the Fermat poison pill,
     then solvable yes / Suzuki-Zassenhaus structure for non-solvable yes."""
-    ok, witness = _semiprime if _semiprime is not None else is_semiprime_cyclic(G)
+    ok, witness = is_semiprime_cyclic(G)
     if not ok:
         return FreelyRepresentableVerdict(
             False, "noncyclic_semiprime_subgroup", witness=witness)
@@ -403,24 +386,26 @@ def classify(G: Group) -> ClassificationReport:
     orders = G.element_orders()
     involutions = [g for g in G.elements() if orders[g] == 2]
     unique_inv = involutions[0] if len(involutions) == 1 else None
-    ok, witness = is_semiprime_cyclic(G)
-    verdict = is_freely_representable(G, _semiprime=(ok, witness))
+    verdict = is_freely_representable(G)
+    # the verdict's criterion names the semiprime scan exactly when it failed
+    ok = verdict.criterion != "noncyclic_semiprime_subgroup"
+    witness = None if ok else verdict.witness
 
     # internal cross-checks
     if verdict.answer:
-        assert ok, "freely representable groups must be semiprime-cyclic"
-        assert scq, "freely representable groups must be Sylow-cycloidal"
-        if G.order % 2 == 0:
-            assert unique_inv is not None, \
-                "even freely representable groups have a unique involution"
-    if scq and not sc:
-        assert unique_inv is not None, \
-            "non-Sylow-cyclic cycloidal groups have a unique involution"
-    if sc:
-        primes = _prime_factors(G.order)
-        expected = all(len(mu) % p == 0 for p in primes)
-        assert verdict.answer == expected, \
-            "Sylow-cyclic verdict disagrees with the mu(G) divisibility criterion"
+        if not scq:
+            raise InvariantViolated(
+                "freely representable groups must be Sylow-cycloidal")
+        if G.order % 2 == 0 and unique_inv is None:
+            raise InvariantViolated(
+                "even freely representable groups have a unique involution")
+    if scq and not sc and unique_inv is None:
+        raise InvariantViolated(
+            "non-Sylow-cyclic cycloidal groups have a unique involution")
+    if sc and verdict.answer != all(len(mu) % p == 0
+                                    for p in prime_factors(G.order)):
+        raise InvariantViolated(
+            "Sylow-cyclic verdict disagrees with the mu(G) divisibility criterion")
 
     return ClassificationReport(
         group=G,

@@ -9,7 +9,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .errors import (
     BadConductor,
@@ -23,10 +22,11 @@ from .errors import (
     NotFreelyRepresentable,
     ParseError,
 )
-from .groups import Deadline, Group, is_isomorphic
+from .groups import Group, is_isomorphic
 from .classify import classify, mcc_subgroup
-from .normrel import NORM_RELATION_CAP, find_norm_relation
+from .normrel import find_norm_relation
 from .represent import build_free_representation, verify_free
+from .run import limits
 from .sl2census import census_report
 
 
@@ -302,9 +302,9 @@ def survey210() -> dict:
         fr = is_freely_representable(G)
         expected = _SURVEY_EXPECTED.get((m, cls[0]))
         # duplicates merged by r <-> r^-1 really are isomorphic
-        if len(cls) == 2:
-            twin = sd(m, 210 // m, cls[1])
-            assert is_isomorphic(G, twin) is not None, (m, cls)
+        if len(cls) == 2 and is_isomorphic(G, sd(m, 210 // m, cls[1])) is None:
+            raise InvariantViolated(f"sd({m},{210 // m},r) for r in {cls} "
+                                    "are not isomorphic")
         rows.append({
             "A_order": m,
             "r_class": list(cls),
@@ -329,7 +329,7 @@ def survey210() -> dict:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_analyze(spec_text: str, as_json: bool, deadline=None) -> tuple:
+def cmd_analyze(spec_text: str, as_json: bool) -> tuple:
     spec = parse_group_spec(spec_text)
     G = spec.build()
     report = classify(G)
@@ -358,11 +358,10 @@ def cmd_analyze(spec_text: str, as_json: bool, deadline=None) -> tuple:
     return 0, "\n".join(lines)
 
 
-def cmd_norm_relation(spec_text: str, as_json: bool, cap: Optional[int],
-                      deadline=None) -> tuple:
+def cmd_norm_relation(spec_text: str, as_json: bool) -> tuple:
     spec = parse_group_spec(spec_text)
     G = spec.build()
-    out = find_norm_relation(G, cap=cap or NORM_RELATION_CAP, deadline=deadline)
+    out = find_norm_relation(G)
     if out.certificate is None:
         if as_json:
             return 0, json.dumps({
@@ -383,7 +382,7 @@ def cmd_norm_relation(spec_text: str, as_json: bool, cap: Optional[int],
     return 0, "\n".join(lines)
 
 
-def cmd_represent(spec_text: str, as_json: bool, deadline=None) -> tuple:
+def cmd_represent(spec_text: str, as_json: bool) -> tuple:
     spec = parse_group_spec(spec_text)
     G = spec.build()
     try:
@@ -414,12 +413,7 @@ def cmd_represent(spec_text: str, as_json: bool, deadline=None) -> tuple:
                f"prime-order cyclic subgroup vanishes")
 
 
-def cmd_census(p: int, as_json: bool, cap: Optional[int]) -> tuple:
-    limit = cap if cap is not None else 2200
-    order = (p - 1) * p * (p + 1)
-    if order > limit:
-        raise CapExceeded(
-            f"|SL2(F_{p})| = {order} exceeds cap {limit}; pass --cap to opt in")
+def cmd_census(p: int, as_json: bool) -> tuple:
     data = census_report(p)
     if as_json:
         return 0, json.dumps(data, indent=2)
@@ -460,10 +454,11 @@ def main(argv=None) -> int:
                     "certificates, and build exact free representations.")
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--cap", type=int, default=None,
-                        help="override enumeration caps")
+                        help="refuse any group of order above N in every "
+                             "stage (default: each stage's own cap)")
     parser.add_argument("--deadline", type=float, default=None,
-                        help="soft time limit in seconds (enforced on the "
-                             "norm-relation search and subgroup enumeration)")
+                        help="soft time limit in seconds, checked in the "
+                             "long loops of every stage")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("analyze", "norm-relation", "represent"):
         c = sub.add_parser(name)
@@ -473,20 +468,19 @@ def main(argv=None) -> int:
     sub.add_parser("survey210")
 
     args = parser.parse_args(argv)
-    deadline = Deadline(args.deadline) if args.deadline else None
 
     try:
-        if args.command == "analyze":
-            code, text = cmd_analyze(args.spec, args.json, deadline)
-        elif args.command == "norm-relation":
-            code, text = cmd_norm_relation(args.spec, args.json, args.cap,
-                                           deadline)
-        elif args.command == "represent":
-            code, text = cmd_represent(args.spec, args.json, deadline)
-        elif args.command == "census":
-            code, text = cmd_census(args.p, args.json, args.cap)
-        else:
-            code, text = cmd_survey210(args.json)
+        with limits(seconds=args.deadline, cap=args.cap):
+            if args.command == "analyze":
+                code, text = cmd_analyze(args.spec, args.json)
+            elif args.command == "norm-relation":
+                code, text = cmd_norm_relation(args.spec, args.json)
+            elif args.command == "represent":
+                code, text = cmd_represent(args.spec, args.json)
+            elif args.command == "census":
+                code, text = cmd_census(args.p, args.json)
+            else:
+                code, text = cmd_survey210(args.json)
     except (CapExceeded, DeadlineExceeded) as exc:
         print(_structured_error(type(exc).__name__, exc,
                                 getattr(args, "spec", args.command)),

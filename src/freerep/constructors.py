@@ -9,15 +9,15 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import BadParams, BadSize, CapExceeded
+from .errors import BadParams, BadSize, InvariantViolated
 from .groups import ORDER_CAP, Group, commutator_subgroup, subgroup_generated
+from .run import check_deadline, check_order
 
 
 def cyclic(n: int, *, origin: str | None = None) -> Group:
     if n < 1:
         raise BadParams("cyclic order must be >= 1")
-    if n > ORDER_CAP:
-        raise CapExceeded(f"order {n} exceeds cap {ORDER_CAP}")
+    check_order(n, ORDER_CAP, "cyclic")
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
@@ -28,8 +28,7 @@ def dihedral(n: int) -> Group:
     """Dihedral group of order 2n: rho^n = 1, tau^2 = 1, tau rho tau = rho^-1."""
     if n < 2:
         raise BadParams("dihedral parameter must be >= 2")
-    if 2 * n > ORDER_CAP:
-        raise CapExceeded(f"order {2 * n} exceeds cap {ORDER_CAP}")
+    check_order(2 * n, ORDER_CAP, "dihedral")
     # element i + n*j  <->  rho^i tau^j
     i = np.arange(2 * n, dtype=np.int32)
     r, t = i % n, i // n
@@ -47,8 +46,7 @@ def dihedral(n: int) -> Group:
 def direct_product(G: Group, H: Group) -> Group:
     """Direct product with element (a, b) encoded as a*|H| + b."""
     order = G.order * H.order
-    if order > ORDER_CAP:
-        raise CapExceeded(f"order {order} exceeds cap {ORDER_CAP}")
+    check_order(order, ORDER_CAP, "direct_product")
     nh = H.order
     i = np.arange(order, dtype=np.int64)
     a, b = i // nh, i % nh
@@ -69,8 +67,7 @@ def dicyclic(m: int) -> Group:
         raise BadParams("dicyclic parameter must be >= 1")
     n2 = 2 * m  # order of <R>
     order = 4 * m
-    if order > ORDER_CAP:
-        raise CapExceeded(f"order {order} exceeds cap {ORDER_CAP}")
+    check_order(order, ORDER_CAP, "dicyclic")
     i = np.arange(order, dtype=np.int32)
     r, t = i % n2, i // n2
     r1, t1 = r[:, None], t[:, None]
@@ -99,8 +96,8 @@ def generalized_quaternion(size: int) -> Group:
         raise BadSize("generalized quaternion size must be a power of 2, >= 8")
     G = dicyclic(size // 4)
     G.origin = f"Q{size}"
-    orders = G.element_orders()
-    assert orders.count(2) == 1, "quaternion group must have a unique involution"
+    if G.element_orders().count(2) != 1:
+        raise InvariantViolated("quaternion group must have a unique involution")
     return G
 
 
@@ -129,8 +126,7 @@ def semidirect_cyclic(params: SemidirectParams) -> Group:
     """Cyclic semidirect product of order m*n on pairs (a^i, b^j)."""
     params.validate()
     m, n, r = params.m, params.n, params.r
-    if m * n > ORDER_CAP:
-        raise CapExceeded(f"order {m * n} exceeds cap {ORDER_CAP}")
+    check_order(m * n, ORDER_CAP, "semidirect_cyclic")
     i = np.arange(m * n, dtype=np.int64)
     ai, bj = i // n, i % n
     rpow = np.array([pow(r, int(j), m) for j in range(n)], dtype=np.int64)
@@ -143,8 +139,8 @@ def semidirect_cyclic(params: SemidirectParams) -> Group:
     G = Group(table, labels=labels, origin=f"sd({m},{n},{r})")
     # postcondition: commutator subgroup is <a^(r-1)>
     expected = subgroup_generated(G, [((r - 1) % m) * n])
-    assert commutator_subgroup(G).elset == expected.elset, \
-        "semidirect commutator subgroup mismatch"
+    if commutator_subgroup(G).elset != expected.elset:
+        raise InvariantViolated("semidirect commutator subgroup mismatch")
     return G
 
 
@@ -157,8 +153,7 @@ def sl2(p: int) -> Group:
     if not is_prime(p):
         raise BadParams(f"{p} is not prime")
     order = (p - 1) * p * (p + 1)
-    if order > ORDER_CAP:
-        raise CapExceeded(f"|SL2(F_{p})| = {order} exceeds cap {ORDER_CAP}")
+    check_order(order, ORDER_CAP, "sl2")
     mats = []
     for a in range(p):
         for b in range(p):
@@ -167,7 +162,8 @@ def sl2(p: int) -> Group:
                     mats.append((a, b, c, (1 + b * c) * pow(a, p - 2, p) % p))
                 elif b:
                     mats.append((0, b, (p - pow(b, p - 2, p)) % p, c))
-    assert len(mats) == order
+    if len(mats) != order:
+        raise InvariantViolated(f"found {len(mats)} matrices in SL2(F_{p})")
     # move the identity to position 0
     eye = mats.index((1, 0, 0, 1))
     mats[0], mats[eye] = mats[eye], mats[0]
@@ -178,6 +174,7 @@ def sl2(p: int) -> Group:
     a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     table = np.empty((order, order), dtype=np.int32)
     for i in range(order):
+        check_deadline()
         ai, bi, ci, di = int(a[i]), int(b[i]), int(c[i]), int(d[i])
         pa = (ai * a + bi * c) % p
         pb = (ai * b + bi * d) % p
@@ -211,16 +208,15 @@ def binary_polyhedral(kind: str, n: int | None = None) -> Group:
 
         G = finite_quaternion_group(binary_octahedral_generators())
         G.origin = "2O"
-        assert G.order == 48
+        if G.order != 48:
+            raise InvariantViolated(f"2O closed with {G.order} elements")
         return G
     if kind == "2D":
         if n is None or n < 2:
             raise BadParams("2D_n requires n >= 2")
-        if 4 * n > ORDER_CAP:
-            raise CapExceeded(f"order {4 * n} exceeds cap {ORDER_CAP}")
         G = dicyclic(n)
         G.origin = f"2D{n}"
-        orders = G.element_orders()
-        assert orders.count(2) == 1
+        if G.element_orders().count(2) != 1:
+            raise InvariantViolated("2D_n must have a unique involution")
         return G
     raise BadParams(f"unknown binary polyhedral kind {kind!r}")

@@ -12,19 +12,24 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def euler_phi(n: int) -> int:
-    result, m, d = 1, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            pk = 1
-            while m % d == 0:
-                m //= d
-                pk *= d
-            result *= pk - pk // d
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if m > 1:
-        result *= m - 1
-    return result
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def euler_phi(n: int) -> int:
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def is_prime(p: int) -> bool:

@@ -7,7 +7,6 @@ are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-import time
 from array import array
 from dataclasses import dataclass
 from math import gcd
@@ -15,39 +14,14 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    DeadlineExceeded,
-    NotAGroup,
-    NotConjugationClosed,
-    NotNormal,
-)
+from .cyclotomic import is_prime
+from .errors import InvariantViolated, NotAGroup, NotConjugationClosed, NotNormal
+from .run import check_deadline, check_order
 
-SUBGROUP_CAP = 2000  # all_subgroups / normal_subgroups enumeration cap
+# default caps on the group order, replaced by the run's cap when it has one
+SUBGROUP_CAP = 2000  # all_subgroups / normal_subgroups enumeration
 ORDER_CAP = 6000  # largest Cayley table we agree to build
 ASSOC_BLOCK_ROWS = 256  # rows compared at a time by the associativity check
-
-
-class Deadline:
-    """Cooperative cancellation token for long-running enumerations."""
-
-    def __init__(self, seconds: Optional[float] = None):
-        self._expires = None if seconds is None else time.monotonic() + seconds
-        self._cancelled = False
-
-    def cancel(self) -> None:
-        self._cancelled = True
-
-    def check(self) -> None:
-        if self._cancelled:
-            raise DeadlineExceeded("operation cancelled")
-        if self._expires is not None and time.monotonic() > self._expires:
-            raise DeadlineExceeded("deadline exceeded")
-
-
-def _check_deadline(deadline: Optional[Deadline]) -> None:
-    if deadline is not None:
-        deadline.check()
 
 
 class Group:
@@ -286,10 +260,10 @@ def build_group(mult_oracle: Callable[[int, int], int], n: int, *,
     """
     if n < 1:
         raise NotAGroup("order must be positive")
-    if n > ORDER_CAP:
-        raise CapExceeded(f"group order {n} exceeds cap {ORDER_CAP}")
+    check_order(n, ORDER_CAP, "build_group")
     table = np.empty((n, n), dtype=np.int32)
     for i in range(n):
+        check_deadline()
         for j in range(n):
             table[i, j] = mult_oracle(i, j)
     if table.min() < 0 or table.max() >= n:
@@ -364,13 +338,9 @@ class Subgroup:
         return f"Subgroup(order={len(self)}, of={self.parent.origin})"
 
     def is_normal(self) -> bool:
-        G = self.parent
-        sub = np.fromiter(self.elements, dtype=np.int64)
-        mask = np.zeros(G.order, dtype=bool)
-        mask[sub] = True
-        all_g = np.arange(G.order)
-        conj = G.table[G.table[np.ix_(all_g, sub)], G.inverse[all_g, None]]
-        return bool(mask[conj].all())
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[list(self.elements)] = True
+        return bool(mask[conjugates(self.parent, self.elements)].all())
 
     def as_group(self) -> Group:
         """Standalone Group on this subgroup's elements (index 0 stays identity)."""
@@ -442,6 +412,21 @@ def subgroup_generated(G: Group, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, sorted(closed), validate=False)
 
 
+def conjugates(G: Group, elems: Sequence[int]) -> np.ndarray:
+    """The array whose row g holds g * x * g^-1 for each x in elems."""
+    table = G.table
+    return table[table[:, list(elems)], G.inverse[:, None]]
+
+
+def left_cosets(G: Group, elems: Sequence[int]) -> tuple:
+    """(reps, coset_of) for the left cosets gH of the subgroup H = elems:
+    reps holds the least element of each coset in ascending order, and
+    coset_of[g] is the index in reps of the coset that contains g."""
+    least = G.table[:, list(elems)].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    return reps, np.searchsorted(reps, least)
+
+
 def cyclic_subgroups(G: Group) -> list:
     """All cyclic subgroups, each as a Subgroup, deduplicated."""
     rows = G.rows
@@ -458,11 +443,9 @@ def cyclic_subgroups(G: Group) -> list:
     return list(seen.values())
 
 
-def all_subgroups(G: Group, *, cap: int = SUBGROUP_CAP,
-                  deadline: Optional[Deadline] = None) -> list:
+def all_subgroups(G: Group) -> list:
     """Every subgroup exactly once, by cyclic seeds + pairwise join closure."""
-    if G.order > cap:
-        raise CapExceeded(f"group order {G.order} exceeds subgroup cap {cap}")
+    check_order(G.order, SUBGROUP_CAP, "all_subgroups")
     found = {}  # frozenset -> short generator tuple
     queue = []
     for sub in cyclic_subgroups(G):
@@ -474,7 +457,7 @@ def all_subgroups(G: Group, *, cap: int = SUBGROUP_CAP,
         queue.append((key, g))
     processed = []
     while queue:
-        _check_deadline(deadline)
+        check_deadline()
         key1, gens1 = queue.pop()
         for key2, gens2 in processed:
             if key1 <= key2 or key2 <= key1:
@@ -587,10 +570,9 @@ def normal_closure(G: Group, seeds: Iterable[int]) -> Subgroup:
     return subgroup_generated(G, sorted(gens))
 
 
-def normal_subgroups(G: Group, *, cap: int = SUBGROUP_CAP,
-                     deadline: Optional[Deadline] = None) -> list:
+def normal_subgroups(G: Group) -> list:
     """Normal subgroups, filtered from all_subgroups by conjugation-invariance."""
-    return [H for H in all_subgroups(G, cap=cap, deadline=deadline) if H.is_normal()]
+    return [H for H in all_subgroups(G) if H.is_normal()]
 
 
 @dataclass
@@ -604,15 +586,14 @@ class StructureReport:
     is_perfect: bool
 
 
-def structure_ops(G: Group, *, cap: int = SUBGROUP_CAP,
-                  deadline: Optional[Deadline] = None) -> StructureReport:
+def structure_ops(G: Group) -> StructureReport:
     series = derived_series(G)
     return StructureReport(
         center=center(G),
         commutator_subgroup=commutator_subgroup(G),
         derived_series=series,
         conjugacy_classes=G.conjugacy_classes(),
-        normal_subgroups=normal_subgroups(G, cap=cap, deadline=deadline),
+        normal_subgroups=normal_subgroups(G),
         is_solvable=len(series[-1]) == 1,
         is_perfect=len(commutator_subgroup(G)) == G.order,
     )
@@ -623,7 +604,7 @@ def structure_ops(G: Group, *, cap: int = SUBGROUP_CAP,
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown from a cyclic seed inside iterated normalizers."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise NotAGroup(f"{p} is not prime")
     target = 1
     while G.order % (target * p) == 0:
@@ -635,6 +616,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     seed = G.power(seed, orders[seed] // p)
     P = subgroup_generated(G, [seed])
     while len(P) < target:
+        check_deadline()
         N = normalizer(G, P)
         NG = N.as_group()
         pos = {g: i for i, g in enumerate(N.elements)}
@@ -649,11 +631,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
 
 def sylow_conjugates(G: Group, P: Subgroup) -> list:
     """Distinct conjugates of a subgroup (as frozensets)."""
-    sub = np.fromiter(P.elements, dtype=np.int64)
-    out = set()
-    table, inv = G.table, G.inverse
-    for g in range(G.order):
-        out.add(frozenset(int(v) for v in table[table[g, sub], inv[g]]))
+    out = set(map(frozenset, conjugates(G, P.elements).tolist()))
     return sorted(out, key=sorted)
 
 
@@ -713,23 +691,11 @@ def quotient_group(G: Group, N: Subgroup) -> tuple:
         raise NotNormal("subgroup bound to a different parent")
     if not N.is_normal():
         raise NotNormal("subgroup is not normal")
-    sub = np.fromiter(N.elements, dtype=np.int64)
-    n = G.order
-    rep = np.full(n, -1, dtype=np.int64)
-    coset_of = np.full(n, -1, dtype=np.int64)
-    reps = []
-    for g in range(n):
-        if rep[g] >= 0:
-            continue
-        coset = G.table[g, sub]
-        rep[coset] = g
-        coset_of[coset] = len(reps)
-        reps.append(g)
-    reps_arr = np.fromiter(reps, dtype=np.int64)
-    table = coset_of[G.table[np.ix_(reps_arr, reps_arr)]]
-    labels = [G.label(r) for r in reps] if G.labels else None
+    reps, coset_of = left_cosets(G, N.elements)
+    table = coset_of[G.table[np.ix_(reps, reps)]]
+    labels = [G.label(r) for r in reps.tolist()] if G.labels else None
     Q = Group(table, labels=labels, origin=f"quotient({G.origin}/{len(N)})")
-    proj = Homomorphism(G, Q, [int(c) for c in coset_of])
+    proj = Homomorphism(G, Q, coset_of.tolist())
     return Q, proj
 
 
@@ -787,8 +753,7 @@ def _close_with_map(G: Group, H: Group, genpairs: list) -> Optional[dict]:
     return m
 
 
-def is_isomorphic(G: Group, H: Group, *,
-                  deadline: Optional[Deadline] = None) -> Optional[Homomorphism]:
+def is_isomorphic(G: Group, H: Group) -> Optional[Homomorphism]:
     """An isomorphism witness, or None.  Absence of a witness is a value."""
     if G.order != H.order:
         return None
@@ -811,7 +776,7 @@ def is_isomorphic(G: Group, H: Group, *,
     assignment = [None] * len(gens)
 
     def backtrack(i: int) -> Optional[dict]:
-        _check_deadline(deadline)
+        check_deadline()
         if i == len(gens):
             m = _close_with_map(G, H, list(zip(gens, assignment)))
             if m and len(m) == G.order and len(set(m.values())) == G.order:
@@ -842,16 +807,13 @@ def count_nth_roots(G: Group, C: Iterable[int], n: int) -> int:
     cset = frozenset(int(x) for x in C)
     if not cset:
         return 0
-    table, inv = G.table, G.inverse
-    sub = np.fromiter(cset, dtype=np.int64)
-    all_g = np.arange(G.order)
-    conj = table[table[np.ix_(all_g, sub)], inv[all_g, None]]
     mask = np.zeros(G.order, dtype=bool)
-    mask[sub] = True
-    if not mask[conj].all():
+    mask[list(cset)] = True
+    if not mask[conjugates(G, cset)].all():
         raise NotConjugationClosed("set is not closed under conjugation")
     if n < 1:
         raise NotAGroup("n must be positive")
     count = sum(1 for x in range(G.order) if G.power(x, n) in cset)
-    assert count % gcd(n * len(cset), G.order) == 0, "Frobenius divisibility violated"
+    if count % gcd(n * len(cset), G.order):
+        raise InvariantViolated("Frobenius divisibility violated")
     return count

@@ -18,8 +18,9 @@ from typing import Optional
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import CapExceeded, InvariantViolated, NotAPartition, ParentMismatch
-from .groups import Deadline, Group, Subgroup, cyclic_subgroups, full_subgroup
+from .errors import InvariantViolated, NotAPartition, ParentMismatch
+from .groups import Group, Subgroup, cyclic_subgroups, full_subgroup, left_cosets
+from .run import check_deadline, check_order
 
 NORM_RELATION_CAP = 256
 
@@ -147,10 +148,6 @@ class NormRelationCertificate:
         }
 
 
-def verify_certificate(cert: NormRelationCertificate) -> bool:
-    return cert.verify()
-
-
 @dataclass
 class NormRelationOutcome:
     """find_norm_relation result: a certificate or absence + ideal dimension."""
@@ -213,9 +210,9 @@ def _generator_stream(G: Group, subgroups: list) -> list:
     subgroups so the rank grows quickly."""
     per_subgroup = []
     for C in subgroups:
-        cosets = G.table[:, C.elements]
-        reps = np.flatnonzero(cosets.min(axis=1) == np.arange(G.order))
-        per_subgroup.append([(g, cosets[g]) for g in reps.tolist()])
+        reps = left_cosets(G, C.elements)[0]
+        cosets = G.table[np.ix_(reps, C.elements)]
+        per_subgroup.append(list(zip(reps.tolist(), cosets)))
     stream = []
     for depth in range(max(map(len, per_subgroup), default=0)):
         for ci, gens in enumerate(per_subgroup):
@@ -224,8 +221,7 @@ def _generator_stream(G: Group, subgroups: list) -> list:
     return stream
 
 
-def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool,
-               deadline: Optional[Deadline]) -> _Echelon:
+def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool) -> _Echelon:
     """Feed the stream into a fully reduced echelon form mod p.  A generator
     is reduced against the rows whose pivot lies in its coset; inserting it
     is one rank-1 update of the rows and of their combinations."""
@@ -236,8 +232,7 @@ def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool,
     pivots: list = []
     unit_row = None
     for pos, (_, _, coset) in enumerate(stream):
-        if deadline is not None:
-            deadline.check()
+        check_deadline()
         hit = row_of[coset]
         hit = hit[hit >= 0]
         w = -rows[hit].sum(axis=0)
@@ -364,8 +359,7 @@ def _primes_below(limit: int):
     return (q for q in range(limit - 1, 2, -1) if is_prime(q))
 
 
-def _search(G: Group, *, stop_at_unit: bool, primes=None,
-            deadline: Optional[Deadline] = None):
+def _search(G: Group, *, stop_at_unit: bool, primes=None):
     """Eliminate mod successive primes until the answer is proved over Q.
 
     Returns a verified certificate when stop_at_unit is set and 1 is in J,
@@ -381,7 +375,7 @@ def _search(G: Group, *, stop_at_unit: bool, primes=None,
     stream = _generator_stream(G, subgroups)
     combined: dict = {}  # (chosen, pivots, unit found) -> (modulus, residues)
     for p in _primes_below(MODULUS_LIMIT) if primes is None else primes:
-        ech = _eliminate(stream, G.order, p, stop_at_unit, deadline)
+        ech = _eliminate(stream, G.order, p, stop_at_unit)
         found = ech.unit_row is not None
         residues = ech.combos[ech.unit_row] if found else ech.rows
         key = (tuple(ech.chosen), tuple(ech.pivots), found)
@@ -406,22 +400,20 @@ def _search(G: Group, *, stop_at_unit: bool, primes=None,
     raise InvariantViolated(f"norm ideal of {G.origin}: primes exhausted")
 
 
-def norm_ideal(G: Group, *, deadline: Optional[Deadline] = None) -> NormIdealBasis:
+def norm_ideal(G: Group) -> NormIdealBasis:
     """Proved echelon basis of the whole prime-order norm ideal J."""
-    return _search(G, stop_at_unit=False, deadline=deadline)
+    return _search(G, stop_at_unit=False)
 
 
-def find_norm_relation(G: Group, *, cap: int = NORM_RELATION_CAP,
-                       deadline: Optional[Deadline] = None) -> NormRelationOutcome:
+def find_norm_relation(G: Group) -> NormRelationOutcome:
     """A verified norm-relation-of-unity certificate, or absence + dimension.
 
     The left ideal J is spanned by {g*N(C)} over prime-order cyclic C only;
     this is lossless because N(H) = (sum of coset reps) * N(C) for any
     prime-order C <= H.  When 1 is in J, J = Q[G] and its dimension is |G|.
     """
-    if G.order > cap:
-        raise CapExceeded(f"group order {G.order} exceeds norm-relation cap {cap}")
-    found = _search(G, stop_at_unit=True, deadline=deadline)
+    check_order(G.order, NORM_RELATION_CAP, "find_norm_relation")
+    found = _search(G, stop_at_unit=True)
     if isinstance(found, NormRelationCertificate):
         return NormRelationOutcome(found, G.order)
     return NormRelationOutcome(None, found.dimension)

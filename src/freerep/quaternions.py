@@ -9,11 +9,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadParams, CapExceeded, NotQuaternionGroup, NotUnit
+from .errors import BadParams, InvariantViolated, NotQuaternionGroup, NotUnit
 from .groups import Group, Subgroup, quotient_group
+from .run import check_order
 
 # Field tags: d=1 means Q; d=2, d=5 the real quadratic fields Q(sqrt d).
 FIELD_TAGS = (1, 2, 5)
+QUATERNION_CAP = 1000  # largest closure finite_quaternion_group builds by default
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,8 @@ def rotation_of(h: Quaternion) -> RotationMatrix3:
     cols = []
     for axis in (I, J, K):
         img = h * axis.lift(h.d) * hc
-        assert img.w.is_zero()
+        if not img.w.is_zero():
+            raise InvariantViolated("conjugation left the pure quaternions")
         cols.append((img.x, img.y, img.z))
     rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
     mat = RotationMatrix3(rows)
@@ -234,8 +237,7 @@ def rotation_of(h: Quaternion) -> RotationMatrix3:
 # -- finite quaternion groups -------------------------------------------------
 
 
-def finite_quaternion_group(gens: Sequence[Quaternion], *,
-                            cap: int = 1000) -> Group:
+def finite_quaternion_group(gens: Sequence[Quaternion]) -> Group:
     """Cayley table of the multiplicative group generated by unit quaternions."""
     d = _common_tag(g.d for g in gens)
     gens = [g.lift(d) for g in gens]
@@ -253,8 +255,8 @@ def finite_quaternion_group(gens: Sequence[Quaternion], *,
             y = elems[a] * g
             b = index.get(y)
             if b is None:
-                if len(elems) >= cap:
-                    raise CapExceeded(f"quaternion closure exceeded cap {cap}")
+                check_order(len(elems) + 1, QUATERNION_CAP,
+                            "finite_quaternion_group")
                 b = index[y] = len(elems)
                 elems.append(y)
                 parent.append((a, j))
@@ -365,8 +367,7 @@ def _classify_so3(L: Group) -> tuple:
     if n % 2 == 0 and n >= 4:
         m = n // 2
         if m in orders:
-            involutions = orders.count(2)
-            assert involutions == (m if m % 2 else m + 1), \
-                "dihedral involution census mismatch"
+            if orders.count(2) != (m if m % 2 else m + 1):
+                raise InvariantViolated("dihedral involution census mismatch")
             return ("binary_dihedral", m)
     raise NotQuaternionGroup(f"image of order {n} is not a finite SO(3) subgroup")

@@ -35,6 +35,7 @@ from .groups import (
     cyclic_subgroups,
     generating_sequence,
     is_isomorphic,
+    left_cosets,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -312,6 +313,16 @@ def verify_free(rep: Representation) -> FreenessReport:
 # -- constructions -----------------------------------------------------------------
 
 
+def _discrete_log(G: Group, g: int) -> np.ndarray:
+    """k at index g^k for 0 <= k < the order of g, and 0 off <g>."""
+    log = np.zeros(G.order, dtype=np.int64)
+    x, k = g, 1
+    while x:
+        log[x] = k
+        x, k = G.mul(x, g), k + 1
+    return log
+
+
 def scalar_representation(C: Group, dim: int = 1) -> Representation:
     """Generator of a cyclic group acts as zeta_N * identity."""
     gen = C.exponent_generator()
@@ -319,17 +330,9 @@ def scalar_representation(C: Group, dim: int = 1) -> Representation:
         raise NotCyclic(f"{C.origin} is not cyclic")
     n = C.order
     zeta = _field(n)[0]
-    power = [0] * n  # element gen^k -> k
-    x, k = 0, 0
-    while True:
-        power[x] = k
-        x = C.mul(x, gen)
-        k += 1
-        if x == 0:
-            break
     num = np.zeros((n, dim, dim, zeta.shape[1]), dtype=zeta.dtype)
     diag = np.arange(dim)
-    num[:, diag, diag] = zeta[power][:, None, :]
+    num[:, diag, diag] = zeta[_discrete_log(C, gen)][:, None, :]
     rep = Representation(C, dim, n, RepMatrix(n, num))
     rep.validate()
     return rep
@@ -349,26 +352,13 @@ def induced_representation(G: Group, H: Subgroup, character_exponent: int = 1
     if gcd(character_exponent, m) != 1:
         raise NotFaithful(
             f"character exponent {character_exponent} not coprime to {m}")
-    dlog = np.zeros(G.order, dtype=np.int64)
-    x, k = 0, 0
-    while True:
-        dlog[x] = k
-        x = G.mul(x, gen)
-        k += 1
-        if x == 0:
-            break
-    # left coset representatives, fixed as minimal element indices
-    coset_of = np.full(G.order, -1, dtype=np.int64)
-    reps, members = [], list(H.elements)
-    for g in range(G.order):
-        if coset_of[g] < 0:
-            coset_of[G.table[g, members]] = len(reps)
-            reps.append(g)
+    dlog = _discrete_log(G, gen)
+    reps, coset_of = left_cosets(G, H.elements)
     t = len(reps)
     # g * reps[i] = reps[j] * h puts zeta^(e * dlog h) at (j, i) of rho(g)
     prods = G.table[:, reps]
     js = coset_of[prods]
-    hs = G.table[G.inverse[np.asarray(reps)[js]], prods]
+    hs = G.table[G.inverse[reps[js]], prods]
     zeta = _field(m)[0]
     num = np.zeros((G.order, t, t, zeta.shape[1]), dtype=zeta.dtype)
     num[np.arange(G.order)[:, None], js, np.arange(t)[None, :]] = \

@@ -4,33 +4,36 @@ conjugacy and normal subgroups, normalizer shape, and the Fermat pq-criterion.""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from .cyclotomic import is_prime
-from .errors import BadParams
+from .cyclotomic import is_prime, prime_factors
+from .errors import BadParams, InvariantViolated
 from .groups import (
     Group,
     Subgroup,
+    conjugates,
+    cyclic_subgroups,
     normal_closure,
     normalizer,
     subgroup_generated,
     sylow_subgroup,
 )
+from .run import check_deadline, check_order
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 OPT_IN_PRIMES = (17,)  # |SL2(F_17)| = 4896; behind an explicit opt-in
+CENSUS_CAP = 2200  # census_report refuses SL2(F_p) above this order by default
 
-_groups: dict = {}
 
-
+@lru_cache(maxsize=None)
 def sl2_group(p: int) -> Group:
     """Cached SL2(F_p) (construction cost dominates the census)."""
-    if p not in _groups:
-        from .constructors import sl2
+    from .constructors import sl2
 
-        _groups[p] = sl2(p)
-    return _groups[p]
+    return sl2(p)
 
 
 def _require_odd_prime(p: int) -> None:
@@ -61,37 +64,21 @@ def predicted_cyclic_count(p: int, m: int) -> int:
     return 0
 
 
-def _cyclic_subgroups_by_order(G: Group) -> dict:
-    rows = G.rows
-    seen = {}
-    for g in range(G.order):
-        elems = [0]
-        x = g
-        while x:
-            elems.append(x)
-            x = rows[x][g]
-        key = frozenset(elems)
-        if key not in seen:
-            seen[key] = len(elems)
-    by_order: dict = {}
-    for key, size in seen.items():
-        by_order.setdefault(size, []).append(key)
-    return by_order
-
-
 def cyclic_census(p: int) -> list:
     """One CensusRow per order 1..2p+..; every row must match."""
     _require_odd_prime(p)
-    G = sl2_group(p)
-    by_order = _cyclic_subgroups_by_order(G)
+    counts = Counter(len(C) for C in cyclic_subgroups(sl2_group(p)))
     top = max(p + 1, 2 * p)
     rows = []
     for m in range(1, top + 1):
+        check_deadline()
         predicted = predicted_cyclic_count(p, m)
-        observed = len(by_order.get(m, ()))
+        observed = counts[m]
         if predicted or observed:
             rows.append(CensusRow(m, predicted, observed, predicted == observed))
-    assert max(by_order) <= top
+    if max(counts) > top:
+        raise InvariantViolated(f"SL2(F_{p}) has a cyclic subgroup of order "
+                                f"{max(counts)} > {top}")
     return rows
 
 
@@ -105,13 +92,9 @@ def census_partition_identity(p: int) -> bool:
 
 def maximal_cyclic_orders(p: int) -> set:
     """Observed maximal cyclic orders; {p-1, 2p, p+1} for p > 3, {6, 4} at 3."""
-    by_order = _cyclic_subgroups_by_order(sl2_group(p))
-    maximal = set()
-    keys = [(size, key) for size, keys in by_order.items() for key in keys]
-    for size, key in keys:
-        if not any(key < other for osize, other in keys if osize > size):
-            maximal.add(size)
-    return maximal
+    subs = cyclic_subgroups(sl2_group(p))
+    return {len(C) for C in subs
+            if not any(C.elset < D.elset for D in subs if len(D) > len(C))}
 
 
 def _legendre(a: int, p: int) -> int:
@@ -128,6 +111,7 @@ def trichotomy_check(p: int) -> bool:
     G = sl2_group(p)
     orders = G.element_orders()
     for g, (a, b, c, d) in enumerate(G.matrices):
+        check_deadline()
         if orders[g] <= 2:
             continue
         disc = ((a + d) * (a + d) - 4) % p
@@ -141,18 +125,10 @@ def trichotomy_check(p: int) -> bool:
     return True
 
 
-def _conjugate_key(G: Group, elems: tuple, g: int) -> frozenset:
-    table, inv = G.table, G.inverse
-    ginv = int(inv[g])
-    return frozenset(int(table[table[g, x], ginv]) for x in elems)
-
-
 def find_conjugator(G: Group, C1: Subgroup, C2: Subgroup) -> Optional[int]:
     """An explicit g with g C1 g^-1 = C2, by orbit search; None if none."""
-    target = C2.elset
-    base = C1.elements
-    for g in range(G.order):
-        if _conjugate_key(G, base, g) == target:
+    for g, image in enumerate(conjugates(G, C1.elements).tolist()):
+        if set(image) == C2.elset:
             return g
     return None
 
@@ -162,20 +138,20 @@ def conjugacy_and_normals_check(p: int) -> bool:
     normal subgroups are exactly {1}, {+-1}, G for p >= 5 (iso 2T at p = 3)."""
     _require_odd_prime(p)
     G = sl2_group(p)
-    by_order = _cyclic_subgroups_by_order(G)
+    by_order: dict = {}
+    for C in cyclic_subgroups(G):
+        by_order.setdefault(len(C), []).append(C.elset)
     minus = G.element_orders().index(2)
     small = frozenset((0, minus))
     for size, keys in by_order.items():
+        check_deadline()
         if size <= 2:
             continue
         for i, k1 in enumerate(keys):
             for k2 in keys[i + 1:]:
                 if not (k1 & k2) <= small:
                     return False
-        base = tuple(sorted(keys[0]))
-        orbit = set()
-        for g in range(G.order):
-            orbit.add(_conjugate_key(G, base, g))
+        orbit = set(map(frozenset, conjugates(G, sorted(keys[0])).tolist()))
         if orbit != set(keys):
             return False
 
@@ -204,17 +180,7 @@ def _matrix_index(G: Group, mat: tuple) -> int:
 
 
 def _primitive_root(p: int) -> int:
-    factors = []
-    m = p - 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.append(m)
+    factors = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -228,7 +194,8 @@ def normalizer_structure_check(p: int) -> bool:
     G = sl2_group(p)
     u = _matrix_index(G, (1, 1, 0, 1))
     C = subgroup_generated(G, [u])
-    assert len(C) == p
+    if len(C) != p:
+        raise InvariantViolated(f"the unipotent subgroup has order {len(C)}, not {p}")
     N = normalizer(G, C)
     if len(N) != (p - 1) * p:
         return False
@@ -258,14 +225,18 @@ def fermat_pq_witness(p: int) -> Optional[Subgroup]:
     u = _matrix_index(G, (1, 1, 0, 1))
     t = _matrix_index(G, (a, 0, 0, pow(a, p - 2, p)))
     H = subgroup_generated(G, [u, t])
-    assert len(H) == p * r, f"witness has order {len(H)}, wanted {p * r}"
+    if len(H) != p * r:
+        raise InvariantViolated(f"witness has order {len(H)}, wanted {p * r}")
     orders = G.element_orders()
-    assert all(orders[x] != p * r for x in H.elements), "witness must be noncyclic"
+    if any(orders[x] == p * r for x in H.elements):
+        raise InvariantViolated("witness must be noncyclic")
     return H
 
 
 def census_report(p: int) -> dict:
-    """JSON-ready census summary for one prime."""
+    """JSON-ready census summary for one prime, for |SL2(F_p)| up to the
+    run's cap (CENSUS_CAP by default)."""
+    check_order((p - 1) * p * (p + 1), CENSUS_CAP, "census_report")
     rows = cyclic_census(p)
     G = sl2_group(p)
     return {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -140,6 +141,45 @@ def test_norm_relation_cap_flag(capsys):
     assert data["kind"] == "CapExceeded"
 
 
+# -- run limits: one meaning of --deadline and --cap in every command -----------
+
+# one call per command, with the order of the largest group it builds
+LIMITED_CALLS = [
+    (["analyze", "sd(7,9,2)"], 63),
+    (["norm-relation", "D35"], 70),
+    (["represent", "Q16"], 16),
+    (["census", "5"], 120),
+    (["survey210"], 210),
+]
+LIMITED_IDS = [argv[0] for argv, _ in LIMITED_CALLS]
+
+
+@pytest.mark.parametrize("argv,order", LIMITED_CALLS, ids=LIMITED_IDS)
+def test_deadline_zero_exits_2(argv, order, capsys):
+    assert main(["--deadline", "0", *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "DeadlineExceeded"
+    assert main(argv) == 0  # the deadline ended with the call
+
+
+@pytest.mark.parametrize("argv,order", LIMITED_CALLS, ids=LIMITED_IDS)
+def test_cap_below_the_order_exits_2(argv, order, capsys):
+    assert main(["--cap", str(order - 1), *argv]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "CapExceeded"
+    assert main(["--cap", str(order), *argv]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--deadline", "-1"], ["--cap", "0"]])
+def test_limits_out_of_range_exit_1(flags, capsys):
+    assert main([*flags, "analyze", "C6"]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "BadParams"
+
+
+def test_cap_opts_in_to_the_sl2_17_census(capsys):
+    assert main(["--cap", "5000", "census", "17"]) == 0
+    out = capsys.readouterr().out
+    assert "order 4896" in out and "all match: True" in out
+
+
 def test_text_and_json_verdicts_agree(capsys):
     main(["analyze", "sd(7,9,2)"])
     text = capsys.readouterr().out
@@ -174,3 +214,73 @@ def test_cmd_survey210(capsys):
     assert main(["survey210"]) == 0
     out = capsys.readouterr().out
     assert "classes: 12; all match: True" in out
+
+
+# -- stdout stays byte-identical -------------------------------------------------
+
+# sha256 of stdout, recorded before the run limits became one context: one
+# analyze spec per verdict criterion but the SL2(17) poison pill (14 s) and
+# per cycloidal type, norm relations with and without a certificate
+CLI_STDOUT_SHA256 = {
+    (("analyze", "C12"), "json"):
+        "d811117876fced137f8e1d0ac835c9a97b4c0fc78f701ae8d2da18fed1bac377",
+    (("analyze", "C12"), "text"):
+        "cce6216a7df0dfbdc65df9f27029af211f316448f2f46c379ed8f811da1be7f8",
+    (("analyze", "Q16"), "json"):
+        "0a9e5e0c7615415453b5aaebd9c97416f686a85398540087a39839bdeee9552c",
+    (("analyze", "Q16"), "text"):
+        "c1c6ae5a2340a9fad8ba6c3411321485d5a9fd2a9964c7c4725974d5f035ef34",
+    (("analyze", "prod(C5,SL2(3))"), "json"):
+        "228c1c86af387660a6c4c24228b5ba9d94af688acd088a97886e794b03ec7a8c",
+    (("analyze", "prod(C5,SL2(3))"), "text"):
+        "2fd0c87960c1d89d8cf903205ae205752b4ec84fb49fa69228b40d9794826984",
+    (("analyze", "2O"), "json"):
+        "a21f721504bb2f5798e94bfd30060d2aec902ce2f89ec91c7ff97e0d6af6160f",
+    (("analyze", "2O"), "text"):
+        "b30ead3feb68195de48d69240fd3188139d40f48d52aafb1f62a90f1f250884d",
+    (("analyze", "SL2(5)"), "json"):
+        "a390fbc8df8c60d301edd5f23913bd341846221186efc0115fc4c6dfcd06b4f4",
+    (("analyze", "SL2(5)"), "text"):
+        "ca07a0a488f002105ec76f9a550ef14109a5c72d4d1c11811f40c26e30065887",
+    (("analyze", "D6"), "json"):
+        "134bf753f1b162db2c0b6fc42a0670574e6dc048109709868e2f518d1fd54df2",
+    (("analyze", "D6"), "text"):
+        "9a55dc15d27ec6d8f3a22e5e29a8748ffaa9a9cc69d6f4af61a2ec3174eb8491",
+    (("analyze", "sd(35,3,11)"), "json"):
+        "4836094a929e8b6442d41ced06405f9e1430ed89374f77bc332118919b7bda39",
+    (("analyze", "sd(35,3,11)"), "text"):
+        "85f8f67b54a94f98978a667c5642c1f6d9b7e07a3afe2032b655c94f22f5228c",
+    (("norm-relation", "D35"), "json"):
+        "ecb8ec0471de5229cd60983d8c8a0d6f5e6d96acc70e8777dcad31e463adca54",
+    (("norm-relation", "D35"), "text"):
+        "b331de3382673c8010e62007bfeef759beabb0e843ed6af27498bda43139e157",
+    (("norm-relation", "sd(7,9,2)"), "json"):
+        "b1389c69879c88eca007186f3f1bb368d7bd8a77ae9cca6157d52f246807156e",
+    (("norm-relation", "sd(7,9,2)"), "text"):
+        "ba8efd224641a9f942bef8cb0d7aa75553f341f607a250cf5c36104f197556bb",
+    (("norm-relation", "prod(C2,C2)"), "json"):
+        "3e22017320f2ee94e842ecde882aacee8c22dc51ae65e9ad7a80be2073069b86",
+    (("norm-relation", "prod(C2,C2)"), "text"):
+        "eed9111a86d4a31331385f954fda711291c37d8a9e213395ca89d15b22133b4f",
+    (("norm-relation", "Q8"), "json"):
+        "76ca9f4cb31e8a67f1bc563489956efbe39f921127d0674f46665d33c97bca93",
+    (("norm-relation", "Q8"), "text"):
+        "3606a799d626190d7319d7627b0fd27426974630b26669374b5c65ea0061aff7",
+    (("census", "5"), "json"):
+        "893863b291c6ba808cb91502d8329ecb3ec6aabe9282e9c0fa946e4c59230d37",
+    (("census", "5"), "text"):
+        "c459286b315366260e649ed2da51a25f1ba534bf73f9e7eaf3fd23e33b5981da",
+    (("survey210",), "json"):
+        "1885d6dc685176403e8e2c80602e9c0ce3ad77871e51736fbf6e993db66888d9",
+    (("survey210",), "text"):
+        "e48a82e5fd096e2fd9f0f39e6edaea38bf5cf1ab5c6c88e00b56e4be07e650f5",
+}
+
+
+@pytest.mark.parametrize("argv,mode", sorted(CLI_STDOUT_SHA256),
+                         ids=[" ".join(argv) + "-" + mode
+                              for argv, mode in sorted(CLI_STDOUT_SHA256)])
+def test_cli_stdout_is_unchanged(argv, mode, capsys):
+    assert main((["--json"] if mode == "json" else []) + list(argv)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_STDOUT_SHA256[argv, mode]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
@@ -13,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from freerep.errors import DeadlineExceeded, NotAGroup
+from freerep.cli import survey210
+from freerep.errors import CapExceeded, DeadlineExceeded, NotAGroup
 from freerep.groups import (
-    Deadline,
     Group,
     _validate_table,
     all_subgroups,
@@ -35,8 +36,11 @@ from freerep.constructors import (
     sd,
     sl2,
 )
-from freerep.classify import is_sylow_cyclic
+from freerep.classify import classify, is_sylow_cyclic
 from freerep.normrel import find_norm_relation
+from freerep.represent import build_free_representation
+from freerep.sl2census import census_report
+from freerep.run import limits
 
 
 def test_strong_frobenius_on_classes():
@@ -85,12 +89,45 @@ def test_largest_prime_sylow_normal_in_sylow_cyclic():
 
 
 def test_deadline_cancels_enumeration():
-    token = Deadline(0)
-    token.cancel()
-    with pytest.raises(DeadlineExceeded):
-        all_subgroups(dihedral(12), deadline=token)
-    with pytest.raises(DeadlineExceeded):
-        find_norm_relation(dihedral(12), deadline=token)
+    G = dihedral(12)
+    with limits(seconds=0):
+        with pytest.raises(DeadlineExceeded):
+            all_subgroups(G)
+        with pytest.raises(DeadlineExceeded):
+            find_norm_relation(G)
+
+
+@pytest.mark.parametrize("stage", [
+    lambda: classify(sd(7, 9, 2)),
+    lambda: build_free_representation(generalized_quaternion(16)),
+    lambda: census_report(5),
+    survey210,
+], ids=["classify", "build_free_representation", "census_report", "survey210"])
+def test_every_stage_honours_the_deadline_without_the_cli(stage):
+    with limits(seconds=0):
+        with pytest.raises(DeadlineExceeded):
+            stage()
+    stage()  # the deadline ended with the block
+
+
+def test_cap_replaces_each_stage_default():
+    with limits(cap=300):
+        with pytest.raises(CapExceeded):
+            cyclic(301)  # tables default to 6000
+        assert len(find_norm_relation(dihedral(150)).certificate.terms) > 0
+    with pytest.raises(CapExceeded):
+        find_norm_relation(dihedral(150))  # norm relations default to 256
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips asserts, so every invariant the package checks must
+    # be an explicit raise
+    src = Path(__file__).resolve().parents[1] / "src" / "freerep"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def _broken_cyclic_table(n: int, r1: int, c1: int) -> np.ndarray:
