@@ -53,7 +53,10 @@ class SylowClass:
 
 
 def sylow_profile(G: Group) -> dict:
-    """One Sylow subgroup per prime, classified by shape."""
+    """One Sylow subgroup per prime, classified by shape; computed once per
+    group."""
+    if G._sylow_profile is not None:
+        return G._sylow_profile
     profile = {}
     orders = G.element_orders()
     for p in prime_factors(G.order):
@@ -70,19 +73,18 @@ def sylow_profile(G: Group) -> dict:
         else:
             kind = "other"
         profile[p] = SylowClass(p, size, kind)
+    G._sylow_profile = profile
     return profile
 
 
-def is_sylow_cyclic(G: Group, profile: Optional[dict] = None) -> bool:
-    profile = profile if profile is not None else sylow_profile(G)
-    return all(c.kind == "cyclic" for c in profile.values())
+def is_sylow_cyclic(G: Group) -> bool:
+    return all(c.kind == "cyclic" for c in sylow_profile(G).values())
 
 
-def is_sylow_cycloidal(G: Group, profile: Optional[dict] = None) -> bool:
-    profile = profile if profile is not None else sylow_profile(G)
+def is_sylow_cycloidal(G: Group) -> bool:
     return all(
         c.kind == "cyclic" or (c.prime == 2 and c.kind == "generalized_quaternion")
-        for c in profile.values()
+        for c in sylow_profile(G).values()
     )
 
 
@@ -90,35 +92,30 @@ def is_sylow_cycloidal(G: Group, profile: Optional[dict] = None) -> bool:
 
 
 def odd_core(G: Group) -> Subgroup:
-    """O(G): the maximum normal subgroup of odd order.
+    """O(G): the maximum normal subgroup of odd order; computed once per group.
 
     Computed as the join of the normal closures of odd-order elements whose
     closure stays odd; every normal odd-order subgroup is such a join, so the
-    result provably contains them all.
+    result provably contains them all.  Conjugate elements have the same
+    normal closure, so one element per conjugacy class is enough.
     """
+    if G._odd_core is not None:
+        return G._odd_core
     orders = G.element_orders()
-    seen = set()
-    odd_closures = []
-    for g in range(1, G.order):
-        check_deadline()
-        if orders[g] % 2 == 0:
-            continue
-        C = frozenset(mulclose(G, [g]))
-        if C in seen:
-            continue
-        seen.add(C)
-        N = normal_closure(G, [g])
-        if len(N) % 2 == 1:
-            odd_closures.append(N)
     core = trivial_subgroup(G)
-    for N in odd_closures:
-        if N.elset <= core.elset:
+    for cls in G.conjugacy_classes()[1:]:
+        check_deadline()
+        if orders[cls[0]] % 2 == 0 or cls[0] in core.elset:
+            continue
+        N = normal_closure(G, [cls[0]])
+        if len(N) % 2 == 0:
             continue
         core = subgroup_generated(G, list(core.elements) + list(N.elements))
         if len(core) % 2 == 0:
             raise InvariantViolated("join of odd normal subgroups must stay odd")
     if not core.is_normal():
         raise InvariantViolated("the odd core must be normal")
+    G._odd_core = core
     return core
 
 
@@ -133,14 +130,13 @@ NON_SOLVABLE = "non_solvable"
 NOT_CYCLOIDAL = "not_cycloidal"
 
 
-def cycloidal_type(G: Group, profile: Optional[dict] = None) -> str:
+def cycloidal_type(G: Group) -> str:
     """Which of the four solvable types (or non-solvable) G belongs to.
 
     The solvable types are keyed by G/O(G): cyclic 2-group, generalized
     quaternion, 2T, or 2O.
     """
-    profile = profile if profile is not None else sylow_profile(G)
-    if not is_sylow_cycloidal(G, profile):
+    if not is_sylow_cycloidal(G):
         raise NotCycloidal(f"{G.origin} is not Sylow-cycloidal")
     if not is_solvable(G):
         return NON_SOLVABLE
@@ -378,10 +374,10 @@ class ClassificationReport:
 
 def classify(G: Group) -> ClassificationReport:
     profile = sylow_profile(G)
-    sc = is_sylow_cyclic(G, profile)
-    scq = is_sylow_cycloidal(G, profile)
+    sc = is_sylow_cyclic(G)
+    scq = is_sylow_cycloidal(G)
     core = odd_core(G)
-    ctype = cycloidal_type(G, profile) if scq else NOT_CYCLOIDAL
+    ctype = cycloidal_type(G) if scq else NOT_CYCLOIDAL
     mu = mcc_subgroup(G) if sc else None
     orders = G.element_orders()
     involutions = [g for g in G.elements() if orders[g] == 2]

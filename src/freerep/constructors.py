@@ -9,8 +9,8 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import BadParams, BadSize, InvariantViolated
-from .groups import ORDER_CAP, Group, commutator_subgroup, subgroup_generated
+from .errors import BadParams, BadSize, CapExceeded, InvariantViolated
+from .groups import BLOCK_ROWS, ORDER_CAP, Group, commutator_subgroup, subgroup_generated
 from .run import check_deadline, check_order
 
 
@@ -154,6 +154,8 @@ def sl2(p: int) -> Group:
         raise BadParams(f"{p} is not prime")
     order = (p - 1) * p * (p + 1)
     check_order(order, ORDER_CAP, "sl2")
+    if p**4 >= 2**31:  # the int32 matrix codes below would wrap
+        raise CapExceeded(f"sl2: p = {p} is above the int32 table's range")
     mats = []
     for a in range(p):
         for b in range(p):
@@ -167,20 +169,22 @@ def sl2(p: int) -> Group:
     # move the identity to position 0
     eye = mats.index((1, 0, 0, 1))
     mats[0], mats[eye] = mats[eye], mats[0]
-    arr = np.array(mats, dtype=np.int64)
-    key_of = arr[:, 0] * p**3 + arr[:, 1] * p**2 + arr[:, 2] * p + arr[:, 3]
+    # a vector (x, y) of F_p^2 has code x*p + y, and a matrix is looked up
+    # by the codes of its two columns
+    a, b, c, d = np.array(mats, dtype=np.int32).T
+    x, y = np.divmod(np.arange(p * p, dtype=np.int32), p)
+    first, second = a * p + c, b * p + d
     index_of = np.full(p**4, -1, dtype=np.int32)
-    index_of[key_of] = np.arange(order, dtype=np.int32)
-    a, b, c, d = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    index_of[first * (p * p) + second] = np.arange(order, dtype=np.int32)
     table = np.empty((order, order), dtype=np.int32)
-    for i in range(order):
+    for start in range(0, order, BLOCK_ROWS):
         check_deadline()
-        ai, bi, ci, di = int(a[i]), int(b[i]), int(c[i]), int(d[i])
-        pa = (ai * a + bi * c) % p
-        pb = (ai * b + bi * d) % p
-        pc = (ci * a + di * c) % p
-        pd = (ci * b + di * d) % p
-        table[i] = index_of[pa * p**3 + pb * p**2 + pc * p + pd]
+        rows = slice(start, start + BLOCK_ROWS)
+        ai, bi, ci, di = (v[rows, None] for v in (a, b, c, d))
+        # image[k, w]: the code of M v, for M the k-th matrix of the block
+        # and v the vector with code w; M N maps N's columns to M's images
+        image = (ai * x + bi * y) % p * p + (ci * x + di * y) % p
+        table[rows] = index_of[image[:, first] * (p * p) + image[:, second]]
     labels = [f"[[{w},{x}],[{y},{z}]]" for w, x, y, z in mats]
     G = Group(table, labels=labels, origin=f"SL2({p})")
     G.matrices = mats

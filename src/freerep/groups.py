@@ -21,7 +21,7 @@ from .run import check_deadline, check_order
 # default caps on the group order, replaced by the run's cap when it has one
 SUBGROUP_CAP = 2000  # all_subgroups / normal_subgroups enumeration
 ORDER_CAP = 6000  # largest Cayley table we agree to build
-ASSOC_BLOCK_ROWS = 256  # rows compared at a time by the associativity check
+BLOCK_ROWS = 256  # table rows handled at a time by the n x n array passes
 
 
 class Group:
@@ -43,6 +43,8 @@ class Group:
         "_fingerprint",
         "_center",
         "_commutator",
+        "_sylow_profile",
+        "_odd_core",
     )
 
     def __init__(self, table: np.ndarray, labels=None, origin: str = "raw", *,
@@ -62,6 +64,8 @@ class Group:
         self._fingerprint = None
         self._center = None
         self._commutator = None
+        self._sylow_profile = None  # set by classify.sylow_profile
+        self._odd_core = None  # set by classify.odd_core
         if validate:
             _validate_table(table)
         inv = np.empty(self.order, dtype=np.int32)
@@ -106,9 +110,12 @@ class Group:
 
     @property
     def rows(self) -> list:
-        """Row-indexed multiplication rows (fast scalar lookups)."""
+        """Row-indexed multiplication rows (fast scalar lookups), copied
+        byte for byte from the int32 table."""
         if self._rows is None:
-            self._rows = [array("i", row) for row in self.table.tolist()]
+            if array("i").itemsize != 4:
+                raise InvariantViolated("array('i') is not 32-bit on this platform")
+            self._rows = [array("i", row.tobytes()) for row in self.table]
         return self._rows
 
     def element_order(self, g: int) -> int:
@@ -150,14 +157,15 @@ class Group:
         if self._classes is None:
             n = self.order
             table, inv = self.table, self.inverse
-            all_g = np.arange(n)
             seen = np.zeros(n, dtype=bool)
             class_index = np.full(n, -1, dtype=np.int32)
             classes = []
             for x in range(n):
                 if seen[x]:
                     continue
-                orbit = np.unique(table[table[:, x], inv[all_g]])
+                hit = np.zeros(n, dtype=bool)
+                hit[table[table[:, x], inv]] = True
+                orbit = np.flatnonzero(hit)
                 seen[orbit] = True
                 class_index[orbit] = len(classes)
                 classes.append(tuple(int(v) for v in orbit))
@@ -228,6 +236,7 @@ def _validate_table(table: np.ndarray) -> None:
     inside[0] = True
     checked = []
     while not inside.all():
+        check_deadline()
         a = int(np.argmin(inside))
         _check_associative_at(table, a)
         checked.append(a)
@@ -243,8 +252,8 @@ def _validate_table(table: np.ndarray) -> None:
 def _check_associative_at(table: np.ndarray, a: int) -> None:
     """Raise NotAGroup unless (x*a)*y == x*(a*y) for all x, y."""
     col, row = table[:, a], table[a]
-    for start in range(0, table.shape[0], ASSOC_BLOCK_ROWS):
-        block = slice(start, start + ASSOC_BLOCK_ROWS)
+    for start in range(0, table.shape[0], BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         lhs = table[col[block]]
         rhs = table[block][:, row]
         if not np.array_equal(lhs, rhs):
@@ -519,12 +528,13 @@ def center(G: Group) -> Subgroup:
 
 def commutator_subgroup(G: Group) -> Subgroup:
     if G._commutator is None:
-        n = G.order
-        i = np.repeat(np.arange(n), n)
-        j = np.tile(np.arange(n), n)
-        comms = G.table[G.table[G.inverse[i], G.inverse[j]], G.table[i, j]]
-        gens = np.unique(comms)
-        G._commutator = subgroup_generated(G, [int(g) for g in gens])
+        table, inv = G.table, G.inverse
+        hit = np.zeros(G.order, dtype=bool)
+        for start in range(0, G.order, BLOCK_ROWS):
+            check_deadline()
+            x = slice(start, start + BLOCK_ROWS)
+            hit[table[table[inv[x]][:, inv], table[x]]] = True  # x^-1 y^-1 x y
+        G._commutator = subgroup_generated(G, np.flatnonzero(hit).tolist())
     return G._commutator
 
 

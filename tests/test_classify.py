@@ -3,6 +3,7 @@ semiprime-cyclic scan, freely-representable verdicts."""
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
@@ -41,6 +42,25 @@ from freerep.classify import (
     odd_core,
     sylow_profile,
 )
+
+
+def test_classify_computes_the_profile_and_the_odd_core_once(monkeypatch):
+    # the package re-exports classify(), which shadows the module's name
+    classify_module = importlib.import_module("freerep.classify")
+    calls = []
+    for name in ("sylow_subgroup", "normal_closure"):
+        real = getattr(classify_module, name)
+        monkeypatch.setattr(classify_module, name,
+                            lambda *args, real=real: calls.append(real) or real(*args))
+    # sd(7,9,2) is Sylow-cyclic and solvable, so mcc_subgroup and
+    # cycloidal_type both ask for the Sylow profile and the odd core again
+    classify(sd(7, 9, 2))
+    in_classify = list(calls)
+    calls.clear()
+    G = sd(7, 9, 2)
+    sylow_profile(G)
+    odd_core(G)
+    assert in_classify == calls
 
 
 def s4():

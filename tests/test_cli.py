@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,21 @@ def test_text_and_json_verdicts_agree(capsys):
     data = json.loads(capsys.readouterr().out)
     assert ("freely representable: yes" in text) == \
         (data["freely_representable"]["answer"] == "yes")
+
+
+def test_analyze_does_not_import_numpy_ma():
+    # numpy.ma loads on the first np.unique of a process, about 15 ms of
+    # every fresh analyze call
+    code = ("import sys\n"
+            "from freerep.cli import main\n"
+            "main(['analyze', 'sd(7,9,2)'])\n"
+            "sys.exit(3 if 'numpy.ma' in sys.modules else 0)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- survey ----------------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_every_stage_honours_the_deadline_without_the_cli(stage):
     stage()  # the deadline ended with the block
 
 
+def test_table_validation_honours_the_deadline():
+    table = cyclic(12).table
+    with limits(seconds=0):
+        with pytest.raises(DeadlineExceeded):
+            Group(table)
+    Group(table)
+
+
 def test_cap_replaces_each_stage_default():
     with limits(cap=300):
         with pytest.raises(CapExceeded):
