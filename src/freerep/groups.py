@@ -47,9 +47,20 @@ class Group:
         "_odd_core",
     )
 
-    def __init__(self, table: np.ndarray, labels=None, origin: str = "raw", *,
-                 validate: bool = True):
+    def __init__(self, table: np.ndarray, labels=None, origin: str = "raw"):
         table = np.ascontiguousarray(table, dtype=np.int32)
+        _validate_table(table)
+        self._adopt(table, labels, origin)
+
+    @classmethod
+    def _derived(cls, table: np.ndarray, labels, origin: str) -> "Group":
+        """A table proved by its derivation from a proved group, without
+        Light's test: see Subgroup.as_group and quotient_group."""
+        grp = cls.__new__(cls)
+        grp._adopt(np.ascontiguousarray(table, dtype=np.int32), labels, origin)
+        return grp
+
+    def _adopt(self, table: np.ndarray, labels, origin: str) -> None:
         self.order = int(table.shape[0])
         self.table = table
         self.labels = list(labels) if labels is not None else None
@@ -57,26 +68,12 @@ class Group:
         self.factors = None  # set by direct_product for tensor dispatch
         self.quaternions = None  # set by finite_quaternion_group
         self.matrices = None  # set by sl2: per-element (a, b, c, d) mod p
-        self._rows = None
-        self._orders = None
-        self._classes = None
-        self._class_index = None
-        self._fingerprint = None
-        self._center = None
-        self._commutator = None
+        # caches, filled on first use
+        self._rows = self._orders = self._classes = self._class_index = None
+        self._fingerprint = self._center = self._commutator = None
         self._sylow_profile = None  # set by classify.sylow_profile
         self._odd_core = None  # set by classify.odd_core
-        if validate:
-            _validate_table(table)
-        inv = np.empty(self.order, dtype=np.int32)
-        rows, cols = np.nonzero(table == 0)
-        inv[rows] = cols
-        self.inverse = inv
-        if validate:
-            bad = np.nonzero(table[inv, np.arange(self.order)] != 0)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise NotAGroup("one-sided inverse", (i, int(inv[i])))
+        self.inverse = np.argmin(table, axis=1).astype(np.int32)  # where 0 is
 
     # -- basic operations -------------------------------------------------
 
@@ -213,6 +210,7 @@ def _validate_table(table: np.ndarray) -> None:
     under the elements checked is the whole table, the table is associative.
     Each element checked is the lowest one outside that closure; in a group
     it at least doubles the closure, so at most log2(n) are checked.
+    Inverses are two-sided: a*b == 0 == c*a gives c == (c*a)*b == c*(a*b) == b.
     """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
@@ -324,8 +322,6 @@ class Subgroup:
         mask[sub] = True
         if not mask[self.parent.table[np.ix_(sub, sub)]].all():
             raise NotAGroup("subgroup not closed under multiplication")
-        if not mask[self.parent.inverse[sub]].all():
-            raise NotAGroup("subgroup not closed under inverse")
 
     def __len__(self):
         return len(self.elements)
@@ -352,16 +348,18 @@ class Subgroup:
         return bool(mask[conjugates(self.parent, self.elements)].all())
 
     def as_group(self) -> Group:
-        """Standalone Group on this subgroup's elements (index 0 stays identity)."""
+        """Standalone Group on this subgroup's elements (index 0 stays identity),
+        proved by closure: a nonempty closed subset of a finite group is one."""
         G = self.parent
         sub = np.fromiter(self.elements, dtype=np.int64)
-        pos = {g: i for i, g in enumerate(self.elements)}
         lookup = np.full(G.order, -1, dtype=np.int32)
         lookup[sub] = np.arange(len(sub), dtype=np.int32)
         table = lookup[G.table[np.ix_(sub, sub)]]
+        if not sub.size or (table < 0).any():
+            raise NotAGroup("subgroup not closed under multiplication")
         labels = [G.label(g) for g in self.elements] if G.labels else None
-        grp = Group(table, labels=labels,
-                    origin=f"subgroup(order={len(sub)}, of={G.origin})")
+        grp = Group._derived(table, labels,
+                             f"subgroup(order={len(sub)}, of={G.origin})")
         if G.quaternions is not None:
             grp.quaternions = [G.quaternions[g] for g in self.elements]
         return grp
@@ -383,7 +381,7 @@ def mulclose(G: Group, gens: Sequence[int], *, cap: Optional[int] = None) -> Opt
     rows = G.rows
     elems = {0}
     frontier = [0]
-    gens = [g for g in dict.fromkeys(int(g) for g in gens) if True]
+    gens = list(dict.fromkeys(int(g) for g in gens))
     while frontier:
         new = []
         for x in frontier:
@@ -613,7 +611,8 @@ def structure_ops(G: Group) -> StructureReport:
 
 
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown from a cyclic seed inside iterated normalizers."""
+    """A Sylow p-subgroup, grown from a cyclic seed inside iterated normalizers:
+    while p divides |N(P)/P|, P takes in the least g in N(P) - P with g^p in P."""
     if not is_prime(p):
         raise NotAGroup(f"{p} is not prime")
     target = 1
@@ -627,14 +626,13 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     P = subgroup_generated(G, [seed])
     while len(P) < target:
         check_deadline()
-        N = normalizer(G, P)
-        NG = N.as_group()
-        pos = {g: i for i, g in enumerate(N.elements)}
-        P_in_N = Subgroup(NG, [pos[g] for g in P.elements], validate=False)
-        Q, proj = quotient_group(NG, P_in_N)
-        qorders = Q.element_orders()
-        q_elem = next(q for q in range(Q.order) if qorders[q] == p)
-        lift = N.elements[proj.map.index(q_elem)]
+        N = np.fromiter(normalizer(G, P).elements, dtype=np.int64)
+        power = N
+        for _ in range(p - 1):
+            power = G.table[power, N]
+        in_P = np.zeros(G.order, dtype=bool)
+        in_P[list(P.elements)] = True
+        lift = int(N[np.argmax(~in_P[N] & in_P[power])])
         P = subgroup_generated(G, list(P.elements) + [lift])
     return P
 
@@ -696,7 +694,8 @@ class Homomorphism:
 
 
 def quotient_group(G: Group, N: Subgroup) -> tuple:
-    """(G/N, canonical projection).  Raises NotNormal if N is not normal."""
+    """(G/N, canonical projection).  Raises NotNormal if N is not normal.
+    G/N is proved a group as the image of the verified onto projection."""
     if N.parent is not G:
         raise NotNormal("subgroup bound to a different parent")
     if not N.is_normal():
@@ -704,7 +703,7 @@ def quotient_group(G: Group, N: Subgroup) -> tuple:
     reps, coset_of = left_cosets(G, N.elements)
     table = coset_of[G.table[np.ix_(reps, reps)]]
     labels = [G.label(r) for r in reps.tolist()] if G.labels else None
-    Q = Group(table, labels=labels, origin=f"quotient({G.origin}/{len(N)})")
+    Q = Group._derived(table, labels, f"quotient({G.origin}/{len(N)})")
     proj = Homomorphism(G, Q, coset_of.tolist())
     return Q, proj
 

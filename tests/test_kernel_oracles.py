@@ -3,7 +3,9 @@
 Each reference below is the earlier implementation, kept as the oracle: the
 SL2(F_p) table one row per element, the odd core by one closure per cyclic
 subgroup, the commutator subgroup from n^2 index arrays, the conjugacy
-classes by np.unique, and the multiplication rows through table.tolist().
+classes by np.unique, the multiplication rows through table.tolist(), and
+the Sylow lift through the table of N(P)/P.  Tables derived from a proved
+group skip Light's test; the full test must still accept each of them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ import pytest
 from corpus import structural_corpus
 from freerep.classify import odd_core
 from freerep.constructors import sl2
+from freerep.cyclotomic import prime_factors
+from freerep.errors import NotAGroup
 from freerep.groups import (
+    Subgroup,
+    _validate_table,
+    center,
     commutator_subgroup,
     mulclose,
     normal_closure,
+    normalizer,
+    quotient_group,
     subgroup_generated,
+    sylow_subgroup,
     trivial_subgroup,
 )
 
@@ -122,3 +132,57 @@ def test_rows_match_the_table():
         old = [array("i", row) for row in G.table.tolist()]
         assert G.rows == old, G.origin
         assert all(list(G.rows[i]) == G.table[i].tolist() for i in range(G.order))
+
+
+def _sylow_subgroup_by_quotients(G, p):
+    # each step builds N(P) as a group and N(P)/P as a table, and lifts the
+    # least element of the least coset of order p
+    target = 1
+    while G.order % (target * p) == 0:
+        target *= p
+    if target == 1:
+        return trivial_subgroup(G)
+    orders = G.element_orders()
+    seed = next(g for g in range(G.order) if orders[g] % p == 0)
+    P = subgroup_generated(G, [G.power(seed, orders[seed] // p)])
+    while len(P) < target:
+        N = normalizer(G, P)
+        NG = N.as_group()
+        pos = {g: i for i, g in enumerate(N.elements)}
+        Q, proj = quotient_group(NG, Subgroup(NG, [pos[g] for g in P.elements]))
+        q = next(q for q in range(Q.order) if Q.element_orders()[q] == p)
+        P = subgroup_generated(G, list(P.elements) + [N.elements[proj.map.index(q)]])
+    return P
+
+
+def _sylow_corpus():
+    return structural_corpus() + [sl2(7), sl2(11)]
+
+
+def test_sylow_subgroup_matches_the_quotient_lift():
+    for G in _sylow_corpus():
+        for p in prime_factors(G.order):
+            assert sylow_subgroup(G, p).elements == \
+                _sylow_subgroup_by_quotients(G, p).elements, (G.origin, p)
+
+
+def test_derived_tables_pass_the_full_validation():
+    for G in _sylow_corpus():
+        core = odd_core(G)
+        subgroups = [sylow_subgroup(G, p) for p in prime_factors(G.order)]
+        subgroups += [core, commutator_subgroup(G)]
+        for H in subgroups:
+            _validate_table(H.as_group().table)
+        for N in (core, center(G)):
+            Q, _ = quotient_group(G, N)
+            _validate_table(Q.table)
+            assert Q.order * len(N) == G.order, G.origin
+
+
+def test_as_group_rejects_a_subset_that_is_not_closed():
+    # {e, g} misses g^2, {g, g^2} misses g * g^2 = e, and {} misses e
+    G = sl2(3)
+    g = G.element_orders().index(3)
+    for elements in ([0, g], [g, G.power(g, 2)], []):
+        with pytest.raises(NotAGroup, match="not closed"):
+            Subgroup(G, elements, validate=False).as_group()

@@ -153,14 +153,22 @@ def _fails_associativity(table: np.ndarray, x: int, a: int, y: int) -> bool:
     return table[table[x, a], y] != table[x, table[a, y]]
 
 
-@pytest.mark.parametrize("n", [300, 600, 1030])
-@pytest.mark.parametrize("where", ["first", "middle", "last"])
+BIG_ORDERS = [300, 600, 1030]
+BIG_PLACES = ["first", "middle", "last"]
+
+
+def _big_broken_table(n: int, where: str) -> np.ndarray:
+    r1, c1 = {"first": (1, 2), "middle": (n // 4, n // 3),
+              "last": (n // 2 - 1, n // 2 - 1)}[where]
+    return _broken_cyclic_table(n, r1, c1)
+
+
+@pytest.mark.parametrize("n", BIG_ORDERS)
+@pytest.mark.parametrize("where", BIG_PLACES)
 def test_associativity_check_catches_big_broken_table(n, where):
     # orders on both sides of the old line between exhaustive and sampled
     # checks; the swapped intercalate sits near the start, middle or end
-    r1, c1 = {"first": (1, 2), "middle": (n // 4, n // 3),
-              "last": (n // 2 - 1, n // 2 - 1)}[where]
-    table = _broken_cyclic_table(n, r1, c1)
+    table = _big_broken_table(n, where)
     with pytest.raises(NotAGroup, match="assoc") as exc:
         Group(table)
     assert _fails_associativity(table, *exc.value.witness)
@@ -190,14 +198,13 @@ def test_light_matches_brute_force_on_corpus():
         assert _light_accepts(G.table), G.origin
 
 
-def test_light_matches_brute_force_on_perturbed_tables():
+def _perturbed_tables():
     # swap intercalates {r, r*t} x {c, t*c} for an involution t: the table
     # stays a Latin square with identity 0 and may or may not stay a group
     from corpus import structural_corpus
 
     rng = random.Random(2)
     groups = [G for G in structural_corpus() if 4 <= G.order <= 40 and G.order % 2 == 0]
-    verdicts = []
     for _ in range(300):
         G = rng.choice(groups)
         table = G.table.copy()
@@ -212,8 +219,14 @@ def test_light_matches_brute_force_on_perturbed_tables():
                 continue  # an earlier swap broke this intercalate
             table[r1, c1] = table[r2, c2] = v
             table[r1, c2] = table[r2, c1] = u
+        yield G.origin, table
+
+
+def test_light_matches_brute_force_on_perturbed_tables():
+    verdicts = []
+    for origin, table in _perturbed_tables():
         verdict = _associative_brute_force(table)
-        assert _light_accepts(table) == verdict, (G.origin, table.tolist())
+        assert _light_accepts(table) == verdict, (origin, table.tolist())
         verdicts.append(verdict)
     assert verdicts.count(False) >= 100
 
@@ -228,7 +241,7 @@ LOOP5 = np.array([
 ])
 
 
-def test_light_matches_brute_force_on_loop_products():
+def _loop_product_tables():
     # G x LOOP5 with (g, m) at index g + |G| m: the first elements checked
     # lie in G x {e}, pass, and close to G x {e} only, so the failure shows
     # up only at a later element of the generating set
@@ -239,9 +252,47 @@ def test_light_matches_brute_force_on_loop_products():
             continue
         k = G.order
         g, m = np.arange(5 * k) % k, np.arange(5 * k) // k
-        table = G.table[g[:, None], g[None, :]] + k * LOOP5[m[:, None], m[None, :]]
+        yield G.origin, G.table[g[:, None], g[None, :]] + k * LOOP5[m[:, None], m[None, :]]
+
+
+def test_light_matches_brute_force_on_loop_products():
+    for origin, table in _loop_product_tables():
         assert not _associative_brute_force(table)
-        assert not _light_accepts(table), G.origin
+        assert not _light_accepts(table), origin
+
+
+def _rejection(make_group, table):
+    try:
+        make_group(table)
+    except NotAGroup as exc:  # any other exception fails the test
+        return type(exc), exc.reason
+    return None
+
+
+def _group_with_inverse_check(table):
+    # Group.__init__ as it was: Light's test, then a check that each right
+    # inverse is also a left inverse
+    _validate_table(table)
+    inv = np.argmin(table, axis=1)
+    bad = np.flatnonzero(table[inv, np.arange(len(table))] != 0)
+    if bad.size:
+        raise NotAGroup("one-sided inverse", (int(bad[0]), int(inv[bad[0]])))
+
+
+def test_tables_are_rejected_without_the_inverse_check():
+    # Latin rows and columns, identity 0 and associativity already give
+    # two-sided inverses, so every table the one-sided inverse check used
+    # to stop is still stopped, for the same reason
+    tables = [table for _, table in _perturbed_tables()]
+    tables += [table for _, table in _loop_product_tables()]
+    tables += [_big_broken_table(n, where) for n in BIG_ORDERS for where in BIG_PLACES]
+    rejected = 0
+    for table in tables:
+        before = _rejection(_group_with_inverse_check, table)
+        assert _rejection(Group, table) == before
+        assert (before is None) == _associative_brute_force(table)
+        rejected += before is not None
+    assert rejected >= 100 + 9
 
 
 def test_associativity_check_survives_python_O():
