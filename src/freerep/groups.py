@@ -43,14 +43,14 @@ class Group:
         "_fingerprint",
         "_center",
         "_commutator",
+        "_generators",
         "_sylow_profile",
         "_odd_core",
     )
 
     def __init__(self, table: np.ndarray, labels=None, origin: str = "raw"):
         table = np.ascontiguousarray(table, dtype=np.int32)
-        _validate_table(table)
-        self._adopt(table, labels, origin)
+        self._adopt(table, labels, origin, *_validate_table(table))
 
     @classmethod
     def _derived(cls, table: np.ndarray, labels, origin: str) -> "Group":
@@ -60,7 +60,7 @@ class Group:
         grp._adopt(np.ascontiguousarray(table, dtype=np.int32), labels, origin)
         return grp
 
-    def _adopt(self, table: np.ndarray, labels, origin: str) -> None:
+    def _adopt(self, table: np.ndarray, labels, origin, inverse=None, gens=None) -> None:
         self.order = int(table.shape[0])
         self.table = table
         self.labels = list(labels) if labels is not None else None
@@ -73,7 +73,8 @@ class Group:
         self._fingerprint = self._center = self._commutator = None
         self._sylow_profile = None  # set by classify.sylow_profile
         self._odd_core = None  # set by classify.odd_core
-        self.inverse = np.argmin(table, axis=1).astype(np.int32)  # where 0 is
+        self.inverse = np.argmin(table, 1).astype(np.int32) if inverse is None else inverse
+        self._generators = gens  # at most log2(n) elements, or None
 
     # -- basic operations -------------------------------------------------
 
@@ -199,18 +200,19 @@ class Group:
         return f"Group({self.origin}, order={self.order})"
 
 
-def _validate_table(table: np.ndarray) -> None:
-    """Raise NotAGroup unless table is a Latin square with identity 0 that
-    is associative.
+def _validate_table(table: np.ndarray) -> tuple:
+    """(inverse, checked); raise NotAGroup unless table has identity 0, a 0
+    in every row and is associative, that is, unless it is a group table.
 
-    Associativity is decided exactly, at every order, by Light's test
-    (Clifford & Preston, Algebraic Theory of Semigroups I, 1961, 1.2).  The
-    elements a with (x*a)*y == x*(a*y) for all x, y are closed under
+    Associativity is decided exactly by Light's test (Clifford & Preston,
+    Algebraic Theory of Semigroups I, 1961, 1.2), which needs no Latin rows:
+    the elements a with (x*a)*y == x*(a*y) for all x, y are closed under
     products and contain 0, so once the right-multiplication closure of 0
-    under the elements checked is the whole table, the table is associative.
-    Each element checked is the lowest one outside that closure; in a group
-    it at least doubles the closure, so at most log2(n) are checked.
-    Inverses are two-sided: a*b == 0 == c*a gives c == (c*a)*b == c*(a*b) == b.
+    under those checked is the whole table, it is associative.  A monoid with
+    a 0 in every row is a group (x*y == 0 == y*z gives x == (x*y)*z == z),
+    hence Latin.  Each a checked, the least outside the closure, has a right
+    inverse b, so x -> x*a is injective ((x*a)*b == x) and the closure, a
+    subgroup, at least doubles: at most log2(n) are checked, and they generate.
     """
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise NotAGroup("table is not square")
@@ -222,29 +224,34 @@ def _validate_table(table: np.ndarray) -> None:
     ident = np.arange(n, dtype=np.int32)
     if not np.array_equal(table[0], ident) or not np.array_equal(table[:, 0], ident):
         raise NotAGroup("identity is not at index 0")
-    srt = np.sort(table, axis=1)
-    if not np.array_equal(srt, np.tile(ident, (n, 1))):
-        bad = int(np.nonzero((srt != ident).any(axis=1))[0][0])
-        raise NotAGroup("row is not a permutation", bad)
-    srt = np.sort(table, axis=0)
-    if not np.array_equal(srt, np.tile(ident.reshape(-1, 1), (1, n))):
-        bad = int(np.nonzero((srt != ident.reshape(-1, 1)).any(axis=0))[0][0])
-        raise NotAGroup("column is not a permutation", bad)
+    inverse = np.argmin(table, axis=1).astype(np.int32)
+    bad = np.flatnonzero(table[ident, inverse])
+    if bad.size:
+        raise NotAGroup("row is not a permutation", int(bad[0]))
+    return inverse, _greedy_generators(table, _check_associative_at)
+
+
+def _greedy_generators(table: np.ndarray, check=lambda table, a: None) -> list:
+    """Take in the least element a outside the right-multiplication closure
+    of 0 under those taken, after check(table, a), until it is the table."""
+    n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
     inside[0] = True
-    checked = []
+    taken = []
     while not inside.all():
         check_deadline()
         a = int(np.argmin(inside))
-        _check_associative_at(table, a)
-        checked.append(a)
+        check(table, a)
+        taken.append(a)
+        cols = table[:, taken]
         frontier = np.flatnonzero(inside)
         while frontier.size:
             fresh = np.zeros(n, dtype=bool)
-            fresh[table[np.ix_(frontier, checked)]] = True
+            fresh[cols.take(frontier, axis=0)] = True
             fresh &= ~inside
             inside |= fresh
             frontier = np.flatnonzero(fresh)
+    return taken
 
 
 def _check_associative_at(table: np.ndarray, a: int) -> None:
@@ -252,8 +259,8 @@ def _check_associative_at(table: np.ndarray, a: int) -> None:
     col, row = table[:, a], table[a]
     for start in range(0, table.shape[0], BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        lhs = table[col[block]]
-        rhs = table[block][:, row]
+        lhs = table.take(col[block], axis=0)
+        rhs = table[block].take(row, axis=1)
         if not np.array_equal(lhs, rhs):
             x, y = np.argwhere(lhs != rhs)[0]
             raise NotAGroup("associativity fails", (start + int(x), a, int(y)))
@@ -435,19 +442,19 @@ def left_cosets(G: Group, elems: Sequence[int]) -> tuple:
 
 
 def cyclic_subgroups(G: Group) -> list:
-    """All cyclic subgroups, each as a Subgroup, deduplicated."""
-    rows = G.rows
-    seen = {}
-    for g in range(G.order):
-        elems = [0]
-        x = g
-        while x != 0:
-            elems.append(x)
-            x = rows[x][g]
-        key = frozenset(elems)
-        if key not in seen:
-            seen[key] = Subgroup(G, elems, validate=False)
-    return list(seen.values())
+    """All cyclic subgroups once each, by least generator: the powers of all
+    elements of order d at once, kept at g if g is its least power g^k, (k, d) = 1."""
+    orders = np.array(G.element_orders())
+    found = {0: trivial_subgroup(G)}
+    for d in set(G.element_orders()) - {1}:
+        powers = [np.flatnonzero(orders == d)]
+        for _ in range(d - 2):
+            powers.append(G.table[powers[-1], powers[0]])
+        powers = np.stack(powers, axis=1)  # one row g, g^2, ..., g^(d-1) per g
+        least = powers[:, [k - 1 for k in range(1, d) if gcd(k, d) == 1]].min(axis=1)
+        for row in powers[least == powers[:, 0]].tolist():
+            found[row[0]] = Subgroup(G, [0, *row], validate=False)
+    return [found[g] for g in sorted(found)]
 
 
 def all_subgroups(G: Group) -> list:
@@ -525,14 +532,12 @@ def center(G: Group) -> Subgroup:
 
 
 def commutator_subgroup(G: Group) -> Subgroup:
+    """G' is the normal closure N of [s, t] for s, t generators: G/N is abelian."""
     if G._commutator is None:
         table, inv = G.table, G.inverse
-        hit = np.zeros(G.order, dtype=bool)
-        for start in range(0, G.order, BLOCK_ROWS):
-            check_deadline()
-            x = slice(start, start + BLOCK_ROWS)
-            hit[table[table[inv[x]][:, inv], table[x]]] = True  # x^-1 y^-1 x y
-        G._commutator = subgroup_generated(G, np.flatnonzero(hit).tolist())
+        s = np.array(G._generators or _greedy_generators(table), dtype=np.int64)
+        comms = table[table[inv[s][:, None], inv[s]], table[s[:, None], s]]  # [s, t]
+        G._commutator = normal_closure(G, set(comms.ravel().tolist()) - {0})
     return G._commutator
 
 
@@ -667,11 +672,15 @@ class Homomorphism:
         m = np.fromiter(self.map, dtype=np.int64)
         if m.min() < 0 or m.max() >= self.target.order:
             raise NotAGroup("homomorphism image out of range")
-        lhs = m[self.source.table]
-        rhs = self.target.table[np.ix_(m, m)]
-        if not np.array_equal(lhs, rhs):
-            i, j = np.argwhere(lhs != rhs)[0]
-            raise NotAGroup("map is not multiplicative", (int(i), int(j)))
+        source, target = self.source.table, self.target.table
+        for start in range(0, len(m), BLOCK_ROWS):
+            check_deadline()
+            block = slice(start, start + BLOCK_ROWS)
+            lhs = m.take(source[block])
+            rhs = target.take(m[block], axis=0).take(m, axis=1)
+            if not np.array_equal(lhs, rhs):
+                i, j = np.argwhere(lhs != rhs)[0]
+                raise NotAGroup("map is not multiplicative", (start + int(i), int(j)))
 
     def __call__(self, g: int) -> int:
         return self.map[g]

@@ -2,29 +2,45 @@
 
 Each reference below is the earlier implementation, kept as the oracle: the
 SL2(F_p) table one row per element, the odd core by one closure per cyclic
-subgroup, the commutator subgroup from n^2 index arrays, the conjugacy
-classes by np.unique, the multiplication rows through table.tolist(), and
-the Sylow lift through the table of N(P)/P.  Tables derived from a proved
-group skip Light's test; the full test must still accept each of them.
+subgroup, the commutator subgroup from n^2 index arrays and from a block
+mask, the conjugacy classes by np.unique, the multiplication rows through
+table.tolist(), the Sylow lift through the table of N(P)/P, the Latin-square
+check by sorting rows and columns, and the cyclic subgroups by a walk along
+each element's powers.  Tables derived from a proved group skip Light's
+test; the full test must still accept each of them.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
+from math import log2
 
 import numpy as np
 import pytest
 
-from corpus import structural_corpus
+from corpus import octahedral_2o, structural_corpus
+from test_properties import (
+    BIG_ORDERS,
+    BIG_PLACES,
+    _big_broken_table,
+    _fails_associativity,
+    _loop_product_tables,
+    _perturbed_tables,
+)
 from freerep.classify import odd_core
-from freerep.constructors import sl2
+from freerep.constructors import cyclic, sd, sl2
 from freerep.cyclotomic import prime_factors
 from freerep.errors import NotAGroup
 from freerep.groups import (
+    BLOCK_ROWS,
+    Group,
+    Homomorphism,
     Subgroup,
     _validate_table,
     center,
     commutator_subgroup,
+    cyclic_subgroups,
     mulclose,
     normal_closure,
     normalizer,
@@ -115,11 +131,32 @@ def test_odd_core_matches_one_closure_per_cyclic_subgroup():
         assert odd_core(G).elset == _odd_core_by_cyclic_subgroups(G).elset, G.origin
 
 
+def _commutator_subgroup_by_block_mask(G):
+    # all n^2 commutators x^-1 y^-1 x y, BLOCK_ROWS values of x at a time
+    table, inv = G.table, G.inverse
+    hit = np.zeros(G.order, dtype=bool)
+    for start in range(0, G.order, BLOCK_ROWS):
+        x = slice(start, start + BLOCK_ROWS)
+        hit[table[table[inv[x]][:, inv], table[x]]] = True
+    return subgroup_generated(G, np.flatnonzero(hit).tolist())
+
+
+def _derived_groups(G):
+    # tables built by as_group and quotient_group, whose generators are
+    # found without Light's test
+    out = [sylow_subgroup(G, p).as_group() for p in prime_factors(G.order)]
+    out += [odd_core(G).as_group(), quotient_group(G, center(G))[0]]
+    return out
+
+
 def test_commutator_subgroup_matches_the_index_arrays():
-    groups = structural_corpus() + [sl2(7)]
+    groups = structural_corpus() + [sl2(7), sl2(11)]
+    groups += [H for G in (sl2(5), sl2(7), sd(7, 9, 2), octahedral_2o())
+               for H in _derived_groups(G)]
     for G in groups:
-        assert commutator_subgroup(G).elset == \
-            _commutator_subgroup_by_index_arrays(G).elset, G.origin
+        derived = commutator_subgroup(G).elset
+        assert derived == _commutator_subgroup_by_index_arrays(G).elset, G.origin
+        assert derived == _commutator_subgroup_by_block_mask(G).elset, G.origin
 
 
 def test_conjugacy_classes_match_np_unique():
@@ -186,3 +223,147 @@ def test_as_group_rejects_a_subset_that_is_not_closed():
     for elements in ([0, g], [g, G.power(g, 2)], []):
         with pytest.raises(NotAGroup, match="not closed"):
             Subgroup(G, elements, validate=False).as_group()
+
+
+def _cyclic_subgroups_by_walk(G):
+    # one walk along the powers of each element, kept at its first generator
+    rows = G.rows
+    seen = {}
+    for g in range(G.order):
+        elems = [0]
+        x = g
+        while x != 0:
+            elems.append(x)
+            x = rows[x][g]
+        key = frozenset(elems)
+        if key not in seen:
+            seen[key] = Subgroup(G, elems, validate=False)
+    return list(seen.values())
+
+
+def test_cyclic_subgroups_match_the_walk():
+    for G in structural_corpus() + [sl2(7), sl2(11), cyclic(840)]:
+        assert [C.elements for C in cyclic_subgroups(G)] == \
+            [C.elements for C in _cyclic_subgroups_by_walk(G)], G.origin
+
+
+def _latin_then_light(table):
+    # the validation as it was: identity 0, rows and columns sorted against
+    # 0..n-1, then Light's test over a greedily grown generating set
+    n = len(table)
+    ident = np.arange(n)
+    if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
+        return False
+    if not (np.array_equal(np.sort(table, axis=1), np.tile(ident, (n, 1)))
+            and np.array_equal(np.sort(table, axis=0), np.tile(ident[:, None], (1, n)))):
+        return False
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    checked = []
+    while not inside.all():
+        a = int(np.argmin(inside))
+        if not np.array_equal(table[table[:, a]], table[:, table[a]]):
+            return False
+        checked.append(a)
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[table[np.ix_(frontier, checked)]] = True
+            fresh &= ~inside
+            inside |= fresh
+            frontier = np.flatnonzero(fresh)
+    return True
+
+
+def _non_latin_tables():
+    # group tables with one entry outside row 0 and column 0 copied from
+    # elsewhere in its row, never over the 0: every row still holds a 0,
+    # and the table is no longer Latin
+    rng = random.Random(5)
+    groups = [G for G in structural_corpus() if 4 <= G.order <= 64]
+    for _ in range(200):
+        G = rng.choice(groups)
+        table = G.table.copy()
+        r = rng.randrange(1, G.order)
+        c1, c2 = rng.sample([c for c in range(1, G.order) if table[r, c] != 0], 2)
+        table[r, c1] = table[r, c2]
+        yield G.origin, table
+    # random rows under the identity row and column, with a 0 in each row
+    # and a repeated entry in some row
+    for n in (3, 4, 6, 9, 16):
+        for _ in range(20):
+            table = np.array([[0] + [rng.randrange(n) for _ in range(n - 1)]
+                              for _ in range(n)])
+            table[0] = table[:, 0] = np.arange(n)
+            for r in range(1, n):
+                if 0 not in table[r]:
+                    table[r, rng.randrange(1, n)] = 0
+            if any(len(set(row)) < n for row in table.tolist()):
+                yield f"random({n})", table
+
+
+def _validation_tables():
+    tables = [(G.origin, G.table) for G in structural_corpus()]
+    tables += list(_perturbed_tables()) + list(_loop_product_tables())
+    tables += [(f"broken({n},{where})", _big_broken_table(n, where))
+               for n in BIG_ORDERS for where in BIG_PLACES]
+    return tables + list(_non_latin_tables())
+
+
+def test_validation_accepts_exactly_what_the_latin_sort_accepts():
+    accepted = 0
+    for origin, table in _validation_tables():
+        try:
+            _validate_table(table)
+        except NotAGroup as exc:
+            assert exc.reason == "associativity fails", origin
+            assert _fails_associativity(table, *exc.witness), origin
+            assert not _latin_then_light(table), origin
+        else:
+            assert _latin_then_light(table), origin
+            accepted += 1
+    assert accepted >= len(structural_corpus())
+
+
+def test_non_latin_tables_fail_associativity_with_a_witness():
+    rejected = 0
+    for origin, table in _non_latin_tables():
+        assert (table == 0).any(axis=1).all()
+        with pytest.raises(NotAGroup, match="associativity fails") as exc:
+            _validate_table(table)
+        assert _fails_associativity(table, *exc.value.witness), origin
+        rejected += 1
+    assert rejected >= 280
+
+
+def test_a_row_without_0_is_not_a_permutation():
+    table = sl2(3).table.copy()
+    table[5, table[5] == 0] = 7
+    with pytest.raises(NotAGroup, match="row is not a permutation") as exc:
+        _validate_table(table)
+    assert exc.value.witness == 5
+
+
+def test_validation_returns_the_inverse_and_a_short_generating_set():
+    for G in structural_corpus():
+        inverse, checked = _validate_table(G.table)
+        assert np.array_equal(inverse, np.argmin(G.table, axis=1)), G.origin
+        assert np.array_equal(G.inverse, inverse), G.origin
+        assert len(checked) <= log2(G.order), G.origin
+        assert len(mulclose(G, checked)) == G.order, G.origin
+
+
+def test_verify_reports_a_real_witness_past_the_first_block():
+    # C300 x C2 with (a, b) at index a + 300 b, and the map (h, b) -> (h + b, b):
+    # it respects every product x*y with x in C300 x {0}, the first 300 rows,
+    # and fails on (0, 1)*(0, 1), since (1, 1)^2 is not the identity
+    idx = np.arange(600)
+    a, b = idx % 300, idx // 300
+    G = Group((a[:, None] + a) % 300 + 300 * ((b[:, None] + b) % 2))
+    m = (a + b) % 300 + 300 * b
+    with pytest.raises(NotAGroup, match="not multiplicative") as exc:
+        Homomorphism(G, G, m)
+    i, j = exc.value.witness
+    assert i >= BLOCK_ROWS
+    assert m[G.mul(i, j)] != G.mul(m[i], m[j])
+    assert Homomorphism(G, G, idx).is_bijective()
