@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -492,7 +493,12 @@ def main(argv=None) -> int:
                                 getattr(args, "spec", args.command)),
               file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader left (| head): exit as SIGPIPE would, with no flush error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

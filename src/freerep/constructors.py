@@ -10,8 +10,9 @@ import numpy as np
 
 from .cyclotomic import is_prime
 from .errors import BadParams, BadSize, CapExceeded, InvariantViolated
-from .groups import BLOCK_ROWS, ORDER_CAP, Group, commutator_subgroup, subgroup_generated
-from .run import check_deadline, check_order
+from .groups import (ORDER_CAP, Group, commutator_subgroup, subgroup_generated,
+                     table_from_generators)
+from .run import check_order
 
 
 def cyclic(n: int, *, origin: str | None = None) -> Group:
@@ -169,22 +170,17 @@ def sl2(p: int) -> Group:
     # move the identity to position 0
     eye = mats.index((1, 0, 0, 1))
     mats[0], mats[eye] = mats[eye], mats[0]
-    # a vector (x, y) of F_p^2 has code x*p + y, and a matrix is looked up
-    # by the codes of its two columns
     a, b, c, d = np.array(mats, dtype=np.int32).T
-    x, y = np.divmod(np.arange(p * p, dtype=np.int32), p)
-    first, second = a * p + c, b * p + d
+
+    def code(a, b, c, d):
+        return ((a % p * p + b % p) * p + c % p) * p + d % p
+
     index_of = np.full(p**4, -1, dtype=np.int32)
-    index_of[first * (p * p) + second] = np.arange(order, dtype=np.int32)
-    table = np.empty((order, order), dtype=np.int32)
-    for start in range(0, order, BLOCK_ROWS):
-        check_deadline()
-        rows = slice(start, start + BLOCK_ROWS)
-        ai, bi, ci, di = (v[rows, None] for v in (a, b, c, d))
-        # image[k, w]: the code of M v, for M the k-th matrix of the block
-        # and v the vector with code w; M N maps N's columns to M's images
-        image = (ai * x + bi * y) % p * p + (ci * x + di * y) % p
-        table[rows] = index_of[image[:, first] * (p * p) + image[:, second]]
+    index_of[code(a, b, c, d)] = np.arange(order, dtype=np.int32)
+    # the left multiplications by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]],
+    # which generate SL2(F_p)
+    table = table_from_generators(index_of[np.stack([code(-c, -d, a, b),
+                                                     code(a + c, b + d, c, d)])])
     labels = [f"[[{w},{x}],[{y},{z}]]" for w, x, y, z in mats]
     G = Group(table, labels=labels, origin=f"SL2({p})")
     G.matrices = mats
@@ -195,8 +191,9 @@ def binary_polyhedral(kind: str, n: int | None = None) -> Group:
     """2T, 2O, 2I, or binary dihedral 2D_n.
 
     2T and 2I are delivered as SL2(F_3) and SL2(F_5); 2O is generated from
-    exact unit quaternions over Q(sqrt 2); 2D_n uses the dicyclic presentation
-    (R^(2n) = 1, T^2 = R^n, T R T^-1 = R^-1), order 4n.
+    exact unit quaternions over Q(sqrt 2), its elements stored as integer
+    numerators over one denominator (see quaternions); 2D_n uses the dicyclic
+    presentation (R^(2n) = 1, T^2 = R^n, T R T^-1 = R^-1), order 4n.
     """
     kind = kind.upper()
     if kind == "2T":

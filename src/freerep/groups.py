@@ -266,6 +266,34 @@ def _check_associative_at(table: np.ndarray, a: int) -> None:
             raise NotAGroup("associativity fails", (start + int(x), a, int(y)))
 
 
+def table_from_generators(perms: np.ndarray) -> np.ndarray:
+    """The Cayley table from the left multiplications by generators g_j
+    (perms[j][x] is the index of g_j * x, 0 the identity): row g_j * a is
+    perms[j][row a], filled a block at a time along a breadth-first tree from
+    0.  From the right multiplications (x * g_j) it is the transpose."""
+    n = perms.shape[1]
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int32)
+    while frontier.size:
+        fresh = [frontier[:0]]
+        for perm in perms:
+            for start in range(0, frontier.size, BLOCK_ROWS):
+                check_deadline()
+                parents = frontier[start:start + BLOCK_ROWS]
+                parents = parents[~seen[perm[parents]]]
+                kids = perm[parents]
+                seen[kids] = True
+                table[kids] = perm[table[parents]]
+                fresh.append(kids)
+        frontier = np.concatenate(fresh)
+    if not seen.all():
+        raise InvariantViolated(f"generators reach {int(seen.sum())} of {n} elements")
+    return table
+
+
 def build_group(mult_oracle: Callable[[int, int], int], n: int, *,
                 labels=None, origin: str = "oracle") -> Group:
     """Build a validated Group from a multiplication oracle on 0..n-1.

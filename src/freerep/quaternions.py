@@ -1,16 +1,24 @@
-"""Exact quaternion arithmetic over Q, Q(sqrt 2), Q(sqrt 5); the double cover
-onto SO(3); finite multiplicative quaternion groups and their classification."""
+"""Exact quaternion arithmetic over Q, Q(sqrt 2), Q(sqrt 5); finite
+multiplicative quaternion groups and their classification by the image in
+SO(3), the quotient by {1, -1}.
+
+Quaternion and QuadFieldElement hold Fractions.  finite_quaternion_group keys
+each element by nine integers instead, (a_w, b_w, ..., a_z, b_z, D) for the
+components (a + b sqrt d) / D with D > 0, divided by their gcd: one key per
+element, multiplied in integers.  Quaternions are made once per element at the
+end, for the labels and G.quaternions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BadParams, InvariantViolated, NotQuaternionGroup, NotUnit
-from .groups import Group, Subgroup, quotient_group
+from .groups import Group, Subgroup, quotient_group, table_from_generators
 from .run import check_order
 
 # Field tags: d=1 means Q; d=2, d=5 the real quadratic fields Q(sqrt d).
@@ -176,103 +184,71 @@ J = quat(0, 0, 1)
 K = quat(0, 0, 0, 1)
 
 
-# -- SO(3) ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RotationMatrix3:
-    """Exact 3x3 rotation matrix over a quadratic field."""
-
-    entries: tuple  # 3 rows of 3 QuadFieldElements
-
-    def verify(self) -> None:
-        """Exact field identities: M^T M = I and det M = 1."""
-        e = self.entries
-        for i in range(3):
-            for j in range(3):
-                dot = e[0][i] * e[0][j] + e[1][i] * e[1][j] + e[2][i] * e[2][j]
-                want = 1 if i == j else 0
-                if not (dot - _coerce(want, dot.d)).is_zero():
-                    raise NotUnit(f"matrix not orthogonal at ({i},{j})")
-        if not (self.det() - _coerce(1, e[0][0].d)).is_zero():
-            raise NotUnit("matrix determinant is not 1")
-
-    def det(self) -> QuadFieldElement:
-        e = self.entries
-        return (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
-                - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
-                + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
-
-    def __mul__(self, other: "RotationMatrix3") -> "RotationMatrix3":
-        a, b = self.entries, other.entries
-        rows = tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(1, 3)), a[i][0] * b[0][j])
-                  for j in range(3))
-            for i in range(3)
-        )
-        return RotationMatrix3(rows)
-
-    def key(self) -> tuple:
-        return tuple((c.a, c.b) for row in self.entries for c in row)
-
-
-def rotation_of(h: Quaternion) -> RotationMatrix3:
-    """Matrix of v -> h v h^-1 on the span of (i, j, k); requires norm 1."""
-    nrm = h.norm()
-    if not (nrm - _coerce(1, nrm.d)).is_zero():
-        raise NotUnit(f"quaternion has norm {nrm}, expected 1")
-    hc = h.conj()
-    cols = []
-    for axis in (I, J, K):
-        img = h * axis.lift(h.d) * hc
-        if not img.w.is_zero():
-            raise InvariantViolated("conjugation left the pure quaternions")
-        cols.append((img.x, img.y, img.z))
-    rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
-    mat = RotationMatrix3(rows)
-    mat.verify()
-    return mat
-
-
 # -- finite quaternion groups -------------------------------------------------
+
+# component k of p * q is the sum of s * p_i * q_j over (s, i, j) in
+# _HAMILTON[k], where i, j are the offsets 0, 2, 4, 6 of w, x, y, z in a key
+_HAMILTON = (((1, 0, 0), (-1, 2, 2), (-1, 4, 4), (-1, 6, 6)),
+             ((1, 0, 2), (1, 2, 0), (1, 4, 6), (-1, 6, 4)),
+             ((1, 0, 4), (-1, 2, 6), (1, 4, 0), (1, 6, 2)),
+             ((1, 0, 6), (1, 2, 4), (-1, 4, 2), (1, 6, 0)))
+
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = gcd(*nums, den)
+    return (*(v // g for v in nums), den // g)
+
+
+def _key(q: Quaternion) -> tuple:
+    parts = [v for c in (q.w, q.x, q.y, q.z) for v in (c.a, c.b)]
+    den = lcm(*(v.denominator for v in parts))
+    return _reduced([v.numerator * den // v.denominator for v in parts], den)
+
+
+def _key_product(p: tuple, q: tuple, d: int) -> tuple:
+    nums = []
+    for terms in _HAMILTON:
+        a = b = 0
+        for sign, i, j in terms:
+            (a1, b1), (a2, b2) = p[i:i + 2], q[j:j + 2]
+            a += sign * (a1 * a2 + d * b1 * b2)
+            b += sign * (a1 * b2 + b1 * a2)
+        nums += (a, b)
+    return _reduced(nums, p[8] * q[8])
 
 
 def finite_quaternion_group(gens: Sequence[Quaternion]) -> Group:
-    """Cayley table of the multiplicative group generated by unit quaternions."""
+    """Cayley table of the multiplicative group generated by unit quaternions,
+    on the elements in the order a breadth-first closure by right products
+    finds them; the closure multiplies integer keys (see the module doc)."""
     d = _common_tag(g.d for g in gens)
     gens = [g.lift(d) for g in gens]
     for g in gens:
         if not (g.norm() - _coerce(1, d)).is_zero():
             raise NotUnit(f"generator {g} is not a unit quaternion")
-    one = ONE.lift(d)
-    elems = [one]
-    index = {one: 0}
-    parent = [(0, 0)]  # elems[b] = elems[a] * gens[j] for (a, j) = parent[b]
+    keys = [_key(g) for g in gens]
+    elems = [_key(ONE)]
+    index = {elems[0]: 0}
     right = [[] for _ in gens]  # right[j][a] = index of elems[a] * gens[j]
     a = 0
-    while a < len(elems):  # breadth first: elements in order of discovery
-        for j, g in enumerate(gens):
-            y = elems[a] * g
+    while a < len(elems):
+        for j, g in enumerate(keys):
+            y = _key_product(elems[a], g, d)
             b = index.get(y)
             if b is None:
                 check_order(len(elems) + 1, QUATERNION_CAP,
                             "finite_quaternion_group")
                 b = index[y] = len(elems)
                 elems.append(y)
-                parent.append((a, j))
             right[j].append(b)
         a += 1
     n = len(elems)
-    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
-    # x * elems[b] = (x * elems[a]) * gens[j]: column b is column a moved by
-    # the right multiplication by gens[j]
-    table = np.empty((n, n), dtype=np.int32)
-    table[:, 0] = np.arange(n)
-    for b in range(1, n):
-        a, j = parent[b]
-        table[:, b] = right[j][table[:, a]]
-    G = Group(table, labels=[str(q) for q in elems], origin=f"quat(order={n})")
-    G.quaternions = elems
+    # from the right multiplications the fill gives the transposed table
+    table = table_from_generators(np.array(right, dtype=np.int32).reshape(len(gens), n))
+    quats = [Quaternion(*(QuadFieldElement(d, Fraction(k[i], k[8]), Fraction(k[i + 1], k[8]))
+                          for i in range(0, 8, 2))) for k in elems]
+    G = Group(table.T, labels=[str(q) for q in quats], origin=f"quat(order={n})")
+    G.quaternions = quats
     return G
 
 
@@ -313,15 +289,6 @@ def binary_dihedral_generators(n: int) -> list:
         return [quat(s, s, 0, 0, d=2), J]
     raise BadParams(f"zeta_{2 * n} is not exactly representable over Q, "
                     "Q(sqrt 2), or Q(sqrt 5)")
-
-
-def order10_icosian() -> Quaternion:
-    """A unit icosian of order 10 (a conjugate of zeta_10 in the quaternions)."""
-    h = Fraction(1, 2)
-    tau = QuadFieldElement.of(h, 5, Fraction(1, 2))
-    tau_inv = QuadFieldElement.of(-h, 5, Fraction(1, 2))
-    half = QuadFieldElement.of(h, 5)
-    return Quaternion(tau * half, half, tau_inv * half, QuadFieldElement.of(0, 5))
 
 
 # -- classification of the SO(3) image ----------------------------------------

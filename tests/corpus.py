@@ -23,6 +23,15 @@ from freerep.quaternions import (
 )
 
 
+def _orders_within(groups, low, high):
+    """groups, once every order lies in [low, high]; a raise, not an assert,
+    so that the guard also holds under python -O."""
+    bad = [G.origin for G in groups if not low <= G.order <= high]
+    if bad:
+        raise ValueError(f"corpus groups of order outside {low}..{high}: {bad}")
+    return groups
+
+
 @lru_cache(maxsize=None)
 def quaternion_2t():
     return finite_quaternion_group(hurwitz_tetrahedral_generators())
@@ -63,8 +72,7 @@ def norm_relation_corpus():
     out += [dicyclic(n) for n in (3, 5, 7)]
     out.append(quaternion_2t())
     out.append(octahedral_2o())
-    assert all(G.order <= 128 for G in out)
-    return out
+    return _orders_within(out, 1, 128)
 
 
 def structural_corpus():
@@ -94,8 +102,7 @@ def structural_corpus():
         direct_product(cyclic(6), cyclic(10)),
         direct_product(cyclic(5), sl2(3)),
     ]
-    assert all(G.order <= 200 for G in out)
-    return out
+    return _orders_within(out, 1, 200)
 
 
 def two_group_corpus():
@@ -108,5 +115,4 @@ def two_group_corpus():
                direct_product(cyclic(2), cyclic(8)),
                quaternion_q8(),
                finite_quaternion_group(binary_dihedral_generators(4))]
-    assert all(8 <= G.order <= 64 for G in groups)
-    return groups
+    return _orders_within(groups, 8, 64)

@@ -1,0 +1,75 @@
+"""The double cover of the unit quaternions onto SO(3), as exact rotation
+matrices, and a unit icosian of order 10: the tests check the classification
+of finite quaternion groups against them."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from freerep.errors import InvariantViolated, NotUnit
+from freerep.quaternions import I, J, K, QuadFieldElement, Quaternion, _coerce
+
+
+@dataclass(frozen=True)
+class RotationMatrix3:
+    """Exact 3x3 rotation matrix over a quadratic field."""
+
+    entries: tuple  # 3 rows of 3 QuadFieldElements
+
+    def verify(self) -> None:
+        """Exact field identities: M^T M = I and det M = 1."""
+        e = self.entries
+        for i in range(3):
+            for j in range(3):
+                dot = e[0][i] * e[0][j] + e[1][i] * e[1][j] + e[2][i] * e[2][j]
+                want = 1 if i == j else 0
+                if not (dot - _coerce(want, dot.d)).is_zero():
+                    raise NotUnit(f"matrix not orthogonal at ({i},{j})")
+        if not (self.det() - _coerce(1, e[0][0].d)).is_zero():
+            raise NotUnit("matrix determinant is not 1")
+
+    def det(self) -> QuadFieldElement:
+        e = self.entries
+        return (e[0][0] * (e[1][1] * e[2][2] - e[1][2] * e[2][1])
+                - e[0][1] * (e[1][0] * e[2][2] - e[1][2] * e[2][0])
+                + e[0][2] * (e[1][0] * e[2][1] - e[1][1] * e[2][0]))
+
+    def __mul__(self, other: "RotationMatrix3") -> "RotationMatrix3":
+        a, b = self.entries, other.entries
+        rows = tuple(
+            tuple(sum((a[i][k] * b[k][j] for k in range(1, 3)), a[i][0] * b[0][j])
+                  for j in range(3))
+            for i in range(3)
+        )
+        return RotationMatrix3(rows)
+
+    def key(self) -> tuple:
+        return tuple((c.a, c.b) for row in self.entries for c in row)
+
+
+def rotation_of(h: Quaternion) -> RotationMatrix3:
+    """Matrix of v -> h v h^-1 on the span of (i, j, k); requires norm 1."""
+    nrm = h.norm()
+    if not (nrm - _coerce(1, nrm.d)).is_zero():
+        raise NotUnit(f"quaternion has norm {nrm}, expected 1")
+    hc = h.conj()
+    cols = []
+    for axis in (I, J, K):
+        img = h * axis.lift(h.d) * hc
+        if not img.w.is_zero():
+            raise InvariantViolated("conjugation left the pure quaternions")
+        cols.append((img.x, img.y, img.z))
+    rows = tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    mat = RotationMatrix3(rows)
+    mat.verify()
+    return mat
+
+
+def order10_icosian() -> Quaternion:
+    """A unit icosian of order 10 (a conjugate of zeta_10 in the quaternions)."""
+    h = Fraction(1, 2)
+    tau = QuadFieldElement.of(h, 5, Fraction(1, 2))
+    tau_inv = QuadFieldElement.of(-h, 5, Fraction(1, 2))
+    half = QuadFieldElement.of(h, 5)
+    return Quaternion(tau * half, half, tau_inv * half, QuadFieldElement.of(0, 5))

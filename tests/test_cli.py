@@ -193,6 +193,18 @@ def test_text_and_json_verdicts_agree(capsys):
         (data["freely_representable"]["answer"] == "yes")
 
 
+def _env(**extra):
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _cli(argv, **env):
+    return subprocess.run([sys.executable, "-m", "freerep.cli", *argv],
+                          env=_env(**env), capture_output=True)
+
+
 def test_analyze_does_not_import_numpy_ma():
     # numpy.ma loads on the first np.unique of a process, about 15 ms of
     # every fresh analyze call
@@ -200,12 +212,34 @@ def test_analyze_does_not_import_numpy_ma():
             "from freerep.cli import main\n"
             "main(['analyze', 'sd(7,9,2)'])\n"
             "sys.exit(3 if 'numpy.ma' in sys.modules else 0)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# the calls whose answers depend on element orders that a closure discovers
+HASH_SEED_CALLS = [["analyze", "2O"], ["represent", "2O"], ["represent", "2T"],
+                   ["census", "7"]]
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_CALLS, ids=" ".join)
+def test_stdout_does_not_depend_on_the_hash_seed(argv):
+    runs = [_cli(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freerep.cli", "--cap", "1000", "norm-relation", "D250"],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child can write: its print hits EPIPE
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 # -- survey ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ SL2(F_p) table one row per element, the odd core by one closure per cyclic
 subgroup, the commutator subgroup from n^2 index arrays and from a block
 mask, the conjugacy classes by np.unique, the multiplication rows through
 table.tolist(), the Sylow lift through the table of N(P)/P, the Latin-square
-check by sorting rows and columns, and the cyclic subgroups by a walk along
-each element's powers.  Tables derived from a proved group skip Light's
+check by sorting rows and columns, the cyclic subgroups by a walk along
+each element's powers, and the finite quaternion groups by a closure on
+Fraction-valued quaternions.  Tables derived from a proved group skip Light's
 test; the full test must still accept each of them.
 """
 
@@ -14,12 +15,14 @@ from __future__ import annotations
 
 import random
 from array import array
+from fractions import Fraction
 from math import log2
 
 import numpy as np
 import pytest
 
 from corpus import octahedral_2o, structural_corpus
+from so3 import order10_icosian
 from test_properties import (
     BIG_ORDERS,
     BIG_PLACES,
@@ -29,9 +32,10 @@ from test_properties import (
     _perturbed_tables,
 )
 from freerep.classify import odd_core
+from freerep.cli import parse_group_spec
 from freerep.constructors import cyclic, sd, sl2
 from freerep.cyclotomic import prime_factors
-from freerep.errors import NotAGroup
+from freerep.errors import CapExceeded, NotAGroup, NotUnit
 from freerep.groups import (
     BLOCK_ROWS,
     Group,
@@ -48,6 +52,19 @@ from freerep.groups import (
     subgroup_generated,
     sylow_subgroup,
     trivial_subgroup,
+)
+from freerep.quaternions import (
+    ONE,
+    QUATERNION_CAP,
+    I,
+    J,
+    _common_tag,
+    binary_dihedral_generators,
+    binary_icosahedral_generators,
+    binary_octahedral_generators,
+    finite_quaternion_group,
+    hurwitz_tetrahedral_generators,
+    quat,
 )
 
 
@@ -367,3 +384,73 @@ def test_verify_reports_a_real_witness_past_the_first_block():
     assert i >= BLOCK_ROWS
     assert m[G.mul(i, j)] != G.mul(m[i], m[j])
     assert Homomorphism(G, G, idx).is_bijective()
+
+
+def _quaternion_group_by_fractions(gens):
+    """(table, quaternions): the breadth-first closure on Quaternion objects,
+    with the table filled column by column along the closure's tree."""
+    d = _common_tag(g.d for g in gens)
+    gens = [g.lift(d) for g in gens]
+    for g in gens:
+        if g.norm() != ONE.lift(d).w:
+            raise NotUnit(f"generator {g} is not a unit quaternion")
+    elems = [ONE.lift(d)]
+    index = {elems[0]: 0}
+    parent = [(0, 0)]
+    right = [[] for _ in gens]
+    a = 0
+    while a < len(elems):
+        for j, g in enumerate(gens):
+            y = elems[a] * g
+            if y not in index:
+                if len(elems) + 1 > QUATERNION_CAP:
+                    raise CapExceeded("closure above the cap")
+                index[y] = len(elems)
+                elems.append(y)
+                parent.append((a, j))
+            right[j].append(index[y])
+        a += 1
+    n = len(elems)
+    right = np.array(right, dtype=np.int32).reshape(len(gens), n)
+    table = np.empty((n, n), dtype=np.int32)
+    table[:, 0] = np.arange(n)
+    for b in range(1, n):
+        a, j = parent[b]
+        table[:, b] = right[j][table[:, a]]
+    return table, elems
+
+
+QUATERNION_GENERATORS = {
+    "2T": hurwitz_tetrahedral_generators(),
+    "2O": binary_octahedral_generators(),
+    "2I": binary_icosahedral_generators(),
+    "Q8": [I, J],
+    "2D4": binary_dihedral_generators(4),
+    "order10_icosian": [order10_icosian()],
+    "parsed": parse_group_spec("quat(q(1/2*r2,0,1/2*r2,0),q(1/2,-1/2,1/2,1/2))").params,
+}
+
+
+@pytest.mark.parametrize("name", QUATERNION_GENERATORS)
+def test_quaternion_group_matches_the_fraction_closure(name):
+    gens = list(QUATERNION_GENERATORS[name])
+    table, elems = _quaternion_group_by_fractions(gens)
+    G = finite_quaternion_group(gens)
+    assert np.array_equal(G.table, table)
+    assert G.quaternions == elems
+    assert G.labels == [str(q) for q in elems]
+
+
+def test_quaternion_group_rejects_a_non_unit_generator():
+    with pytest.raises(NotUnit):
+        finite_quaternion_group([quat(1, 1, 0, 0)])
+    with pytest.raises(NotUnit):
+        _quaternion_group_by_fractions([quat(1, 1, 0, 0)])
+
+
+def test_quaternion_group_of_infinite_order_exceeds_the_cap():
+    gens = [quat(Fraction(3, 5), Fraction(4, 5))]
+    with pytest.raises(CapExceeded):
+        finite_quaternion_group(gens)
+    with pytest.raises(CapExceeded):
+        _quaternion_group_by_fractions(gens)

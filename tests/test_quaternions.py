@@ -9,6 +9,7 @@ import pytest
 from freerep.errors import BadParams, NotQuaternionGroup, NotUnit
 from freerep.groups import is_isomorphic
 from freerep.constructors import cyclic, generalized_quaternion, sl2
+from so3 import order10_icosian, rotation_of
 from freerep.quaternions import (
     I,
     J,
@@ -21,9 +22,7 @@ from freerep.quaternions import (
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
     identify_so3_image,
-    order10_icosian,
     quat,
-    rotation_of,
 )
 
 
