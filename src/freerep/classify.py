@@ -1,6 +1,12 @@
 """Structural classification: Sylow profiles, odd core O(G), MCC subgroup,
 solvable cycloidal types via G/O(G), semiprime-cyclic scan, and the
-freely-representable verdict with independently checkable witnesses."""
+freely-representable verdict with independently checkable witnesses.
+
+The semiprime scan applies Wolf's criterion (no noncyclic group of order
+pq, p <= q primes, is freely representable) pair by pair: for x, y of
+orders p, q, <x, y> is one iff x y x^-1 y^-1 is 1 if p == q (groups of
+order p^2 are abelian), and in <y> - {1} if p < q (a group of order pq has
+a normal Sylow q-subgroup, so x y x^-1 is in <y>, and is cyclic iff abelian)."""
 
 from __future__ import annotations
 
@@ -9,9 +15,12 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
+import numpy as np
+
 from .cyclotomic import is_prime, prime_factors
 from .errors import InvariantViolated, NotCycloidal, NotSylowCyclic
 from .groups import (
+    BLOCK_ROWS,
     Group,
     Subgroup,
     centralizer,
@@ -186,23 +195,30 @@ def mcc_subgroup(G: Group) -> Subgroup:
 
 
 def is_semiprime_cyclic(G: Group) -> tuple:
-    """(True, None) or (False, witness): scans subgroups generated by two
-    prime-order elements; any noncyclic order-pq subgroup arises this way."""
+    """(True, None) or (False, W): W the first noncyclic <x, y> of order pq,
+    x, y the least generators of two prime-order subgroups in the order of
+    cyclic_subgroups.  The commutators that decide the k x k pairs (module
+    docstring) are gathered BLOCK_ROWS rows at a time; W is re-checked."""
     primes = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
-    orders = G.element_orders()
-    for i, C1 in enumerate(primes):
+    gens = np.array([C.elements[1] for C in primes], dtype=np.int64)
+    size = np.array([len(C) for C in primes], dtype=np.int64)
+    owner = np.full(G.order, -1, dtype=np.int64)  # g's prime-order subgroup
+    for i, C in enumerate(primes):
+        owner[list(C.elements[1:])] = i
+    table, pair = G.table, np.arange(len(primes))
+    for start in range(0, len(primes), BLOCK_ROWS):
         check_deadline()
-        g1 = C1.elements[1]
-        p = len(C1)
-        for C2 in primes[i + 1:]:
-            g2 = C2.elements[1]
-            q = len(C2)
-            bound = p * q
-            closure = mulclose(G, [g1, g2], cap=bound)
-            if closure is None or len(closure) != bound:
-                continue
-            if not any(orders[g] == bound for g in closure):
-                return False, Subgroup(G, closure)
+        i = pair[start:start + BLOCK_ROWS, None]
+        comm = table[table[gens[i], gens], G.inverse[table[gens, gens[i]]]]
+        larger = np.where(size[i] > size, i, pair)  # the subgroup of order q
+        hit = np.where(size[i] == size, comm == 0, owner[comm] == larger) & (pair > i)
+        if hit.any():
+            r, j = np.unravel_index(np.argmax(hit), hit.shape)
+            W = Subgroup(G, mulclose(G, [gens[start + r], gens[j]]))
+            orders = [G.element_orders()[g] for g in W.elements]
+            if len(W) != size[start + r] * size[j] or len(W) in orders:
+                raise InvariantViolated("semiprime witness is not noncyclic of order pq")
+            return False, W
     return True, None
 
 

@@ -7,7 +7,6 @@ are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
@@ -36,7 +35,6 @@ class Group:
         "factors",
         "quaternions",
         "matrices",
-        "_rows",
         "_orders",
         "_classes",
         "_class_index",
@@ -69,7 +67,7 @@ class Group:
         self.quaternions = None  # set by finite_quaternion_group
         self.matrices = None  # set by sl2: per-element (a, b, c, d) mod p
         # caches, filled on first use
-        self._rows = self._orders = self._classes = self._class_index = None
+        self._orders = self._classes = self._class_index = None
         self._fingerprint = self._center = self._commutator = None
         self._sylow_profile = None  # set by classify.sylow_profile
         self._odd_core = None  # set by classify.odd_core
@@ -105,16 +103,6 @@ class Group:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    @property
-    def rows(self) -> list:
-        """Row-indexed multiplication rows (fast scalar lookups), copied
-        byte for byte from the int32 table."""
-        if self._rows is None:
-            if array("i").itemsize != 4:
-                raise InvariantViolated("array('i') is not 32-bit on this platform")
-            self._rows = [array("i", row.tobytes()) for row in self.table]
-        return self._rows
 
     def element_order(self, g: int) -> int:
         return self.element_orders()[g]
@@ -378,9 +366,7 @@ class Subgroup:
         return f"Subgroup(order={len(self)}, of={self.parent.origin})"
 
     def is_normal(self) -> bool:
-        mask = np.zeros(self.parent.order, dtype=bool)
-        mask[list(self.elements)] = True
-        return bool(mask[conjugates(self.parent, self.elements)].all())
+        return bool(_normalizing(self.parent, self.elements).all())
 
     def as_group(self) -> Group:
         """Standalone Group on this subgroup's elements (index 0 stays identity),
@@ -413,16 +399,15 @@ def mulclose(G: Group, gens: Sequence[int], *, cap: Optional[int] = None) -> Opt
 
     Returns the sorted element list, or None if a cap was given and exceeded.
     """
-    rows = G.rows
+    cells = memoryview(G.table)  # cells[x, g] is a Python int, read in place
     elems = {0}
     frontier = [0]
     gens = list(dict.fromkeys(int(g) for g in gens))
     while frontier:
         new = []
         for x in frontier:
-            row = rows[x]
             for g in gens:
-                y = row[g]
+                y = cells[x, g]
                 if y not in elems:
                     elems.add(y)
                     new.append(y)
@@ -458,6 +443,13 @@ def conjugates(G: Group, elems: Sequence[int]) -> np.ndarray:
     """The array whose row g holds g * x * g^-1 for each x in elems."""
     table = G.table
     return table[table[:, list(elems)], G.inverse[:, None]]
+
+
+def _normalizing(G: Group, elems: Sequence[int]) -> np.ndarray:
+    """The mask of the g with g * x * g^-1 in elems for every x in elems."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[list(elems)] = True
+    return mask[conjugates(G, elems)].all(axis=1)
 
 
 def left_cosets(G: Group, elems: Sequence[int]) -> tuple:
@@ -530,25 +522,15 @@ def _reduce_gens(G: Group, gens: tuple, target: int) -> tuple:
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
-    elems = []
-    hset = H.elset
-    helems = H.elements
-    rows = G.rows
-    inv = G.inverse
-    for g in range(G.order):
-        row = rows[g]
-        ig = int(inv[g])
-        if all(rows[row[h]][ig] in hset for h in helems):
-            elems.append(g)
-    return Subgroup(G, elems, validate=False)
+    inside = _normalizing(G, H.elements)
+    return Subgroup(G, np.flatnonzero(inside).tolist(), validate=False)
 
 
 def centralizer(G: Group, elems: Iterable[int]) -> Subgroup:
     targets = list(dict.fromkeys(int(x) for x in elems))
-    rows = G.rows
-    out = [g for g in range(G.order)
-           if all(rows[g][x] == rows[x][g] for x in targets)]
-    return Subgroup(G, out, validate=False)
+    table = G.table
+    commute = (table[:, targets] == table[targets].T).all(axis=1)
+    return Subgroup(G, np.flatnonzero(commute).tolist(), validate=False)
 
 
 def center(G: Group) -> Subgroup:
@@ -570,15 +552,17 @@ def commutator_subgroup(G: Group) -> Subgroup:
 
 
 def commutator_of_subgroup(G: Group, H: Subgroup) -> Subgroup:
-    """Commutator subgroup of H, computed inside the parent G."""
-    rows, inv = G.rows, G.inverse
-    gens = set()
-    for x in H.elements:
-        ix = int(inv[x])
-        for y in H.elements:
-            gens.add(rows[rows[ix][int(inv[y])]][rows[x][y]])
-    gens.discard(0)
-    return subgroup_generated(G, sorted(gens))
+    """Commutator subgroup of H, computed inside the parent G: generated by
+    every x^-1 y^-1 x y, gathered BLOCK_ROWS values of x at a time."""
+    table, inv = G.table, G.inverse
+    h = np.array(H.elements, dtype=np.int64)
+    hit = np.zeros(G.order, dtype=bool)
+    for start in range(0, h.size, BLOCK_ROWS):
+        check_deadline()
+        x = h[start:start + BLOCK_ROWS]
+        hit[table[table[np.ix_(inv[x], inv[h])], table[np.ix_(x, h)]]] = True
+    hit[0] = False  # a generator 0 would only add lookups to the closure
+    return subgroup_generated(G, np.flatnonzero(hit).tolist())
 
 
 def derived_series(G: Group) -> list:
@@ -780,15 +764,14 @@ def _close_with_map(G: Group, H: Group, genpairs: list) -> Optional[dict]:
     """Extend {0:0} multiplicatively along genpairs; None on conflict."""
     m = {0: 0}
     frontier = [0]
-    grows, hrows = G.rows, H.rows
+    gcells, hcells = memoryview(G.table), memoryview(H.table)
     while frontier:
         new = []
         for x in frontier:
             hx = m[x]
-            grow, hrow = grows[x], hrows[hx]
             for g, h in genpairs:
-                y = grow[g]
-                hy = hrow[h]
+                y = gcells[x, g]
+                hy = hcells[hx, h]
                 known = m.get(y)
                 if known is None:
                     m[y] = hy
@@ -853,9 +836,7 @@ def count_nth_roots(G: Group, C: Iterable[int], n: int) -> int:
     cset = frozenset(int(x) for x in C)
     if not cset:
         return 0
-    mask = np.zeros(G.order, dtype=bool)
-    mask[list(cset)] = True
-    if not mask[conjugates(G, cset)].all():
+    if not _normalizing(G, cset).all():
         raise NotConjugationClosed("set is not closed under conjugation")
     if n < 1:
         raise NotAGroup("n must be positive")

@@ -75,14 +75,14 @@ class GroupAlgebraElement:
     def __mul__(self, other):
         """Convolution product: sum of x_g y_h on gh."""
         self._check(other)
-        rows = self.parent.rows
         out = [ZERO] * self.parent.order
-        support = [(g, c) for g, c in enumerate(self.coeffs) if c]
-        other_support = [(h, c) for h, c in enumerate(other.coeffs) if c]
-        for g, cg in support:
-            row = rows[g]
-            for h, ch in other_support:
-                out[row[h]] += cg * ch
+        support = self.support()
+        other_support = other.support()
+        products = self.parent.table[np.ix_(support, other_support)].tolist()
+        for g, row in zip(support, products):
+            cg = self.coeffs[g]
+            for h, gh in zip(other_support, row):
+                out[gh] += cg * other.coeffs[h]
         return GroupAlgebraElement(self.parent, out)
 
     def __eq__(self, other):

@@ -219,7 +219,8 @@ def test_analyze_does_not_import_numpy_ma():
 
 # the calls whose answers depend on element orders that a closure discovers
 HASH_SEED_CALLS = [["analyze", "2O"], ["represent", "2O"], ["represent", "2T"],
-                   ["census", "7"]]
+                   ["census", "7"], ["census", "11"],
+                   ["--json", "norm-relation", "sd(35,3,11)"]]
 
 
 @pytest.mark.parametrize("argv", HASH_SEED_CALLS, ids=" ".join)

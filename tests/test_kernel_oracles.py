@@ -3,18 +3,19 @@
 Each reference below is the earlier implementation, kept as the oracle: the
 SL2(F_p) table one row per element, the odd core by one closure per cyclic
 subgroup, the commutator subgroup from n^2 index arrays and from a block
-mask, the conjugacy classes by np.unique, the multiplication rows through
-table.tolist(), the Sylow lift through the table of N(P)/P, the Latin-square
-check by sorting rows and columns, the cyclic subgroups by a walk along
-each element's powers, and the finite quaternion groups by a closure on
-Fraction-valued quaternions.  Tables derived from a proved group skip Light's
+mask, the conjugacy classes by np.unique, the Sylow lift through the table
+of N(P)/P, the Latin-square check by sorting rows and columns, the cyclic
+subgroups by a walk along each element's powers, the finite quaternion
+groups by a closure on Fraction-valued quaternions, the closures,
+normalizers, centralizers and commutators of subgroups by scalar loops over
+the multiplication rows table.tolist(), and the semiprime scan by one capped
+closure per pair of prime-order subgroups.  Tables derived from a proved group skip Light's
 test; the full test must still accept each of them.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from fractions import Fraction
 from math import log2
 
@@ -31,20 +32,25 @@ from test_properties import (
     _loop_product_tables,
     _perturbed_tables,
 )
-from freerep.classify import odd_core
+from freerep.classify import is_semiprime_cyclic, odd_core
 from freerep.cli import parse_group_spec
-from freerep.constructors import cyclic, sd, sl2
-from freerep.cyclotomic import prime_factors
+from freerep.constructors import binary_polyhedral, cyclic, dihedral, sd, sl2
+from freerep.cyclotomic import is_prime, prime_factors
 from freerep.errors import CapExceeded, NotAGroup, NotUnit
 from freerep.groups import (
     BLOCK_ROWS,
     Group,
     Homomorphism,
     Subgroup,
+    _close_with_map,
     _validate_table,
     center,
+    centralizer,
+    commutator_of_subgroup,
     commutator_subgroup,
     cyclic_subgroups,
+    full_subgroup,
+    generating_sequence,
     mulclose,
     normal_closure,
     normalizer,
@@ -181,13 +187,6 @@ def test_conjugacy_classes_match_np_unique():
         assert G.conjugacy_classes() == _classes_by_unique(G), G.origin
 
 
-def test_rows_match_the_table():
-    for G in structural_corpus() + [sl2(13)]:
-        old = [array("i", row) for row in G.table.tolist()]
-        assert G.rows == old, G.origin
-        assert all(list(G.rows[i]) == G.table[i].tolist() for i in range(G.order))
-
-
 def _sylow_subgroup_by_quotients(G, p):
     # each step builds N(P) as a group and N(P)/P as a table, and lifts the
     # least element of the least coset of order p
@@ -244,7 +243,7 @@ def test_as_group_rejects_a_subset_that_is_not_closed():
 
 def _cyclic_subgroups_by_walk(G):
     # one walk along the powers of each element, kept at its first generator
-    rows = G.rows
+    rows = G.table.tolist()
     seen = {}
     for g in range(G.order):
         elems = [0]
@@ -454,3 +453,163 @@ def test_quaternion_group_of_infinite_order_exceeds_the_cap():
         finite_quaternion_group(gens)
     with pytest.raises(CapExceeded):
         _quaternion_group_by_fractions(gens)
+
+
+def _mulclose_by_rows(rows, gens, cap=None):
+    elems = {0}
+    frontier = [0]
+    gens = list(dict.fromkeys(int(g) for g in gens))
+    while frontier:
+        new = []
+        for x in frontier:
+            row = rows[x]
+            for g in gens:
+                y = row[g]
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        if cap is not None and len(elems) > cap:
+            return None
+        frontier = new
+    return sorted(elems)
+
+
+def _normalizer_by_rows(G, rows, H):
+    inv = G.inverse.tolist()
+    return [g for g in range(G.order)
+            if all(rows[rows[g][h]][inv[g]] in H.elset for h in H.elements)]
+
+
+def _centralizer_by_rows(G, rows, elems):
+    return [g for g in range(G.order) if all(rows[g][x] == rows[x][g] for x in elems)]
+
+
+def _commutator_of_subgroup_by_rows(G, rows, H):
+    inv = G.inverse.tolist()
+    gens = {rows[rows[inv[x]][inv[y]]][rows[x][y]] for x in H.elements for y in H.elements}
+    gens.discard(0)
+    return subgroup_generated(G, sorted(gens))
+
+
+def _close_with_map_by_rows(grows, hrows, genpairs):
+    m = {0: 0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            grow, hrow = grows[x], hrows[m[x]]
+            for g, h in genpairs:
+                y, hy = grow[g], hrow[h]
+                known = m.get(y)
+                if known is None:
+                    m[y] = hy
+                    new.append(y)
+                elif known != hy:
+                    return None
+        frontier = new
+    return m
+
+
+def _semiprime_scan_by_closures(G, rows):
+    # (closure, (p, q)) for the first pair of prime-order subgroups, in
+    # list order, whose closure has exactly pq elements and none of order pq
+    primes = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
+    orders = G.element_orders()
+    for i, C1 in enumerate(primes):
+        for C2 in primes[i + 1:]:
+            bound = len(C1) * len(C2)
+            closure = _mulclose_by_rows(rows, [C1.elements[1], C2.elements[1]], bound)
+            if closure is not None and len(closure) == bound \
+                    and not any(orders[g] == bound for g in closure):
+                return closure, (len(C1), len(C2))
+    return None, None
+
+
+def _oracle_corpus():
+    return structural_corpus() + [
+        sl2(7), sl2(11), binary_polyhedral("2I"), dihedral(250), sd(127, 7, 2),
+        cyclic(840), parse_group_spec("prod(C11,2I)").build()]
+
+
+def _some_subgroups(G):
+    # a few cyclic subgroups, one Sylow subgroup per prime, the center and G'
+    rng = random.Random(G.order)
+    cyclics = cyclic_subgroups(G)
+    subs = rng.sample(cyclics, min(6, len(cyclics)))
+    subs += [sylow_subgroup(G, p) for p in prime_factors(G.order)]
+    return subs + [center(G), commutator_subgroup(G)]
+
+
+def test_closures_match_the_row_loop():
+    for G in _oracle_corpus():
+        rows = G.table.tolist()
+        rng = random.Random(G.order)
+        for _ in range(20):
+            gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
+            cap = rng.choice([None, 1, G.order // 2, G.order])
+            assert mulclose(G, gens, cap=cap) == \
+                _mulclose_by_rows(rows, gens, cap), (G.origin, gens, cap)
+
+
+def test_normalizers_and_centralizers_match_the_row_loops():
+    for G in _oracle_corpus():
+        rows = G.table.tolist()
+        for H in _some_subgroups(G):
+            assert list(normalizer(G, H).elements) == \
+                _normalizer_by_rows(G, rows, H), (G.origin, len(H))
+            assert list(centralizer(G, H.elements).elements) == \
+                _centralizer_by_rows(G, rows, H.elements), (G.origin, len(H))
+
+
+def test_commutator_of_subgroup_matches_the_row_loop():
+    for G in _oracle_corpus():
+        rows = G.table.tolist()
+        subs = _some_subgroups(G)
+        if G.order <= 1000:
+            subs.append(full_subgroup(G))
+        for H in subs:
+            assert commutator_of_subgroup(G, H).elements == \
+                _commutator_of_subgroup_by_rows(G, rows, H).elements, (G.origin, len(H))
+
+
+def test_close_with_map_matches_the_row_loop():
+    for G in _oracle_corpus():
+        rows = G.table.tolist()
+        rng = random.Random(G.order)
+        gens = generating_sequence(G)
+        orders = G.element_orders()
+        same_order = {d: [g for g in range(G.order) if orders[g] == d] for d in set(orders)}
+        g = rng.randrange(G.order)
+        images = [gens, [G.conj(g, x) for x in gens]]  # two automorphisms
+        images += [[rng.choice(same_order[orders[x]]) for x in gens] for _ in range(4)]
+        for image in images:
+            pairs = list(zip(gens, image))
+            got = _close_with_map(G, G, pairs)
+            expected = _close_with_map_by_rows(rows, rows, pairs)
+            assert (got is None) == (expected is None), (G.origin, pairs)
+            if got is not None:
+                assert list(got.items()) == list(expected.items()), (G.origin, pairs)
+        assert _close_with_map(G, G, list(zip(gens, gens))) == {x: x for x in range(G.order)}
+
+
+def test_close_with_map_returns_none_on_a_conflict():
+    # an element g of order 3 in C6 sent to the involution t: g^3 = 1 would
+    # go to t^3 = t, but 1 is already sent to 1
+    G = cyclic(6)
+    g = G.element_orders().index(3)
+    t = G.element_orders().index(2)
+    assert _close_with_map(G, G, [(g, t)]) is None
+    assert _close_with_map_by_rows(G.table.tolist(), G.table.tolist(), [(g, t)]) is None
+
+
+def test_semiprime_scan_matches_the_pairwise_closures():
+    branches = set()
+    for G in _oracle_corpus():
+        ok, witness = is_semiprime_cyclic(G)
+        closure, primes = _semiprime_scan_by_closures(G, G.table.tolist())
+        assert ok == (closure is None), G.origin
+        if closure is not None:
+            assert list(witness.elements) == closure, G.origin
+            p, q = primes
+            branches.add("p = q" if p == q else "p < q" if p < q else "p > q")
+    assert branches == {"p = q", "p < q", "p > q"}

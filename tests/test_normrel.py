@@ -394,7 +394,7 @@ class _FractionBasis:
             for g in range(n):
                 if not seen[g]:
                     for h in C.elements:
-                        seen[G.rows[g][h]] = True
+                        seen[G.mul(g, h)] = True
                     reps.append(g)
             gen_streams.append((ci, C, reps))
         order = []
@@ -408,7 +408,7 @@ class _FractionBasis:
         for ci, C, g in order:
             vec = [Fraction(0)] * n
             for h in C.elements:
-                vec[G.rows[g][h]] = Fraction(1)
+                vec[G.mul(g, h)] = Fraction(1)
             gen_index = len(self.generators)
             self.generators.append((ci, g))
             vec, combo = self._reduce(vec, {gen_index: Fraction(1)})

@@ -20,7 +20,9 @@ from freerep.groups import (
     Group,
     _validate_table,
     all_subgroups,
+    commutator_of_subgroup,
     count_nth_roots,
+    full_subgroup,
     is_isomorphic,
     normal_closure,
     normalizer,
@@ -36,7 +38,7 @@ from freerep.constructors import (
     sd,
     sl2,
 )
-from freerep.classify import classify, is_sylow_cyclic
+from freerep.classify import classify, is_semiprime_cyclic, is_sylow_cyclic
 from freerep.normrel import find_norm_relation
 from freerep.represent import build_free_representation
 from freerep.sl2census import census_report
@@ -97,12 +99,18 @@ def test_deadline_cancels_enumeration():
             find_norm_relation(G)
 
 
+SL2_7 = sl2(7)  # built outside the deadline, so the stage itself must honour it
+
+
 @pytest.mark.parametrize("stage", [
     lambda: classify(sd(7, 9, 2)),
     lambda: build_free_representation(generalized_quaternion(16)),
     lambda: census_report(5),
     survey210,
-], ids=["classify", "build_free_representation", "census_report", "survey210"])
+    lambda: is_semiprime_cyclic(SL2_7),
+    lambda: commutator_of_subgroup(SL2_7, full_subgroup(SL2_7)),
+], ids=["classify", "build_free_representation", "census_report", "survey210",
+        "is_semiprime_cyclic", "commutator_of_subgroup"])
 def test_every_stage_honours_the_deadline_without_the_cli(stage):
     with limits(seconds=0):
         with pytest.raises(DeadlineExceeded):
