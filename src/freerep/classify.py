@@ -2,6 +2,13 @@
 solvable cycloidal types via G/O(G), semiprime-cyclic scan, and the
 freely-representable verdict with independently checkable witnesses.
 
+Two theorems name the shapes without building a reference group.  Burnside:
+a p-group with a unique subgroup of order p is cyclic or generalized
+quaternion, so a noncyclic Sylow 2-subgroup with one involution is
+generalized quaternion.  Wolf: a solvable Sylow-cycloidal G has G/O(G) a
+cyclic 2-group, a generalized quaternion group, 2T (order 24) or 2O (order
+48), so |G/O(G)| and the Sylow 2-kind decide the type.
+
 The semiprime scan applies Wolf's criterion (no noncyclic group of order
 pq, p <= q primes, is freely representable) pair by pair: for x, y of
 orders p, q, <x, y> is one iff x y x^-1 y^-1 is 1 if p == q (groups of
@@ -11,7 +18,6 @@ a normal Sylow q-subgroup, so x y x^-1 is in <y>, and is cyclic iff abelian)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -23,10 +29,12 @@ from .groups import (
     BLOCK_ROWS,
     Group,
     Subgroup,
+    all_subgroups,
     centralizer,
     center,
     commutator_subgroup,
     cyclic_subgroups,
+    full_subgroup,
     is_isomorphic,
     is_solvable,
     mulclose,
@@ -43,14 +51,6 @@ from .sl2census import sl2_group
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
 
-@lru_cache(maxsize=None)
-def _binary_octahedral_model() -> Group:
-    """The reference 2O for isomorphism matching, built once."""
-    from .constructors import binary_polyhedral
-
-    return binary_polyhedral("2O")
-
-
 # -- Sylow profile ---------------------------------------------------------------
 
 
@@ -62,8 +62,9 @@ class SylowClass:
 
 
 def sylow_profile(G: Group) -> dict:
-    """One Sylow subgroup per prime, classified by shape; computed once per
-    group."""
+    """One Sylow subgroup per prime, classified by shape (module docstring:
+    noncyclic with one involution is generalized quaternion); computed once
+    per group."""
     if G._sylow_profile is not None:
         return G._sylow_profile
     profile = {}
@@ -73,12 +74,8 @@ def sylow_profile(G: Group) -> dict:
         size = len(P)
         if any(orders[g] == size for g in P.elements):
             kind = "cyclic"
-        elif p == 2 and size >= 8 and \
-                sum(1 for g in P.elements if orders[g] == 2) == 1:
-            from .constructors import generalized_quaternion
-
-            match = is_isomorphic(P.as_group(), generalized_quaternion(size))
-            kind = "generalized_quaternion" if match is not None else "other"
+        elif p == 2 and sum(1 for g in P.elements if orders[g] == 2) == 1:
+            kind = "generalized_quaternion"
         else:
             kind = "other"
         profile[p] = SylowClass(p, size, kind)
@@ -142,27 +139,21 @@ NOT_CYCLOIDAL = "not_cycloidal"
 def cycloidal_type(G: Group) -> str:
     """Which of the four solvable types (or non-solvable) G belongs to.
 
-    The solvable types are keyed by G/O(G): cyclic 2-group, generalized
-    quaternion, 2T, or 2O.
+    The solvable types are keyed by G/O(G), which by Wolf's theorem (module
+    docstring) is a cyclic 2-group, generalized quaternion, 2T or 2O.  When
+    n = |G/O(G)| is a power of two, G/O(G) is isomorphic to a Sylow
+    2-subgroup, whose kind Burnside's theorem reads off its involutions.
     """
     if not is_sylow_cycloidal(G):
         raise NotCycloidal(f"{G.origin} is not Sylow-cycloidal")
     if not is_solvable(G):
         return NON_SOLVABLE
-    Q, _ = quotient_group(G, odd_core(G))
-    n = Q.order
-    if n & (n - 1) == 0 and Q.is_cyclic():
-        return SYLOW_CYCLIC
-    if n & (n - 1) == 0 and n >= 8:
-        from .constructors import generalized_quaternion
-
-        if is_isomorphic(Q, generalized_quaternion(n)) is None:
-            raise InvariantViolated(
-                "2-group quotient is neither cyclic nor generalized quaternion")
-        return QUATERNION_TYPE
-    if n == 24 and is_isomorphic(Q, sl2_group(3)) is not None:
+    n = G.order // len(odd_core(G))
+    if n & (n - 1) == 0:  # odd Sylow subgroups are cyclic: only 2 can differ
+        return SYLOW_CYCLIC if is_sylow_cyclic(G) else QUATERNION_TYPE
+    if n == 24:
         return BINARY_TETRAHEDRAL_TYPE
-    if n == 48 and is_isomorphic(Q, _binary_octahedral_model()) is not None:
+    if n == 48:
         return BINARY_OCTAHEDRAL_TYPE
     raise NotCycloidal(f"G/O(G) of order {n} matches no cycloidal type")
 
@@ -248,8 +239,6 @@ class FreelyRepresentableVerdict:
 
 def _index2_subgroups(G: Group) -> list:
     """Index-2 subgroups, via the abelianization (no full enumeration)."""
-    from .groups import all_subgroups
-
     A = commutator_subgroup(G)
     if (G.order // len(A)) % 2:
         return []
@@ -316,27 +305,25 @@ def _embedded_fermat_sl2(G: Group) -> Optional[tuple]:
             break
         if size == G.order:
             if is_isomorphic(G, sl2_group(p)) is not None:
-                from .groups import full_subgroup
-
                 return p, full_subgroup(G)
     return None
 
 
 def is_freely_representable(G: Group) -> FreelyRepresentableVerdict:
-    """Uniform decision: semiprime-cyclic scan, then the Fermat poison pill,
-    then solvable yes / Suzuki-Zassenhaus structure for non-solvable yes."""
+    """Uniform decision: semiprime-cyclic scan, then solvable yes (a
+    solvable group contains no perfect SL2(F_p)), then the Fermat poison
+    pill, then the Suzuki-Zassenhaus structure for non-solvable yes."""
     ok, witness = is_semiprime_cyclic(G)
     if not ok:
         return FreelyRepresentableVerdict(
             False, "noncyclic_semiprime_subgroup", witness=witness)
-    if G.order >= 4896:
-        hit = _embedded_fermat_sl2(G)
-        if hit is not None:
-            p, sub = hit
-            return FreelyRepresentableVerdict(
-                False, "embedded_sl2_fermat", witness=sub, fermat_prime=p)
     if is_solvable(G):
         return FreelyRepresentableVerdict(True, "solvable_semiprime_cyclic")
+    hit = _embedded_fermat_sl2(G)
+    if hit is not None:
+        p, sub = hit
+        return FreelyRepresentableVerdict(
+            False, "embedded_sl2_fermat", witness=sub, fermat_prime=p)
     structure = _suzuki_zassenhaus_structure(G)
     if structure is None:
         raise NotCycloidal(

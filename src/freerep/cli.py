@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
 )
 from .groups import Group, is_isomorphic
-from .classify import classify, mcc_subgroup
+from .classify import classify, is_freely_representable, mcc_subgroup
 from .normrel import find_norm_relation
 from .represent import build_free_representation, verify_free
 from .run import limits
@@ -298,8 +298,6 @@ def survey210() -> dict:
         G = cyclic(210) if m == 1 else sd(m, 210 // m, cls[0])
         built[(m, cls)] = G
         mu = mcc_subgroup(G)
-        from .classify import is_freely_representable
-
         fr = is_freely_representable(G)
         expected = _SURVEY_EXPECTED.get((m, cls[0]))
         # duplicates merged by r <-> r^-1 really are isomorphic

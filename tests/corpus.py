@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from freerep.constructors import (
     binary_polyhedral,
@@ -103,6 +104,16 @@ def structural_corpus():
         direct_product(cyclic(5), sl2(3)),
     ]
     return _orders_within(out, 1, 200)
+
+
+def sd_triples(limit):
+    """Every (m, n, r) that sd accepts with m * n <= limit: gcd(m, n) = 1,
+    1 <= r < max(m, 2), gcd(r, m) = 1 and r^n = 1 mod m."""
+    return [(m, n, r)
+            for m in range(1, limit + 1)
+            for n in range(1, limit // m + 1) if gcd(m, n) == 1
+            for r in range(1, max(m, 2))
+            if gcd(r, m) == 1 and pow(r, n, m) == 1 % m]
 
 
 def two_group_corpus():

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import importlib
 import itertools
+from collections import Counter
 
 import pytest
 
+from corpus import sd_triples
+from freerep.cyclotomic import prime_factors
 from freerep.errors import NotCycloidal, NotSylowCyclic
 from freerep.groups import (
     all_subgroups,
@@ -42,6 +45,8 @@ from freerep.classify import (
     odd_core,
     sylow_profile,
 )
+from freerep.normrel import find_norm_relation
+from freerep.represent import build_free_representation, verify_free
 
 
 def test_classify_computes_the_profile_and_the_odd_core_once(monkeypatch):
@@ -263,6 +268,44 @@ def test_2t_2o_fr():
     assert is_freely_representable(binary_polyhedral("2O")).answer
 
 
+def _wolf_type_one(m, n, r):
+    """Wolf's closed form: sd(m, n, r) is freely representable iff
+    r^(n/q) = 1 mod p for all primes p | m and q | n."""
+    return all(pow(r, n // q, p) == 1
+               for p in prime_factors(m) for q in prime_factors(n))
+
+
+def test_sd_verdicts_match_wolfs_closed_form():
+    # a norm-relation certificate exists exactly on a "no"; every "yes"
+    # comes with a free representation
+    counts = Counter()
+    for m, n, r in sd_triples(128):
+        G = sd(m, n, r)
+        expected = _wolf_type_one(m, n, r)
+        assert is_freely_representable(G).answer == expected, G.origin
+        assert (find_norm_relation(G).certificate is None) == expected, G.origin
+        if expected:
+            rep = build_free_representation(G)
+            assert rep is not None and verify_free(rep).free, G.origin
+        counts[expected] += 1
+    assert counts == {True: 535, False: 143}
+
+
+def test_solvable_order_4896_builds_no_sl2_table(monkeypatch):
+    # a solvable group holds no perfect SL2(F_17), so the Fermat check that
+    # builds one is never reached
+    G = sd(17, 288, 3)
+    classify_module = importlib.import_module("freerep.classify")
+
+    def refuse(*args):
+        raise AssertionError("SL2(F_p) table built")
+
+    monkeypatch.setattr(classify_module, "sl2_group", refuse)
+    report = classify(G)
+    assert report.fr_verdict.criterion == "solvable_semiprime_cyclic"
+    assert report.cycloidal_type == SYLOW_CYCLIC
+
+
 # -- classify -----------------------------------------------------------------------
 
 def test_classify_q8():
@@ -286,6 +329,29 @@ def test_classify_2o():
     rep = classify(binary_polyhedral("2O"))
     assert rep.cycloidal_type == BINARY_OCTAHEDRAL_TYPE
     assert rep.fr_verdict.answer
+
+
+def test_classify_builds_no_reference_group(monkeypatch):
+    # the Sylow kinds and cycloidal types are read off invariants of G
+    cases = [(binary_polyhedral("2O"), BINARY_OCTAHEDRAL_TYPE),
+             (generalized_quaternion(128), QUATERNION_TYPE),
+             (direct_product(cyclic(5), sl2(3)), BINARY_TETRAHEDRAL_TYPE),
+             (direct_product(generalized_quaternion(16), sd(7, 9, 2)),
+              QUATERNION_TYPE)]
+
+    def refuse(*args):
+        raise AssertionError("reference group built")
+
+    for module, name in (("constructors", "generalized_quaternion"),
+                         ("constructors", "binary_polyhedral"),
+                         ("quaternions", "finite_quaternion_group"),
+                         ("classify", "sl2_group")):
+        module = importlib.import_module(f"freerep.{module}")
+        monkeypatch.setattr(module, name, refuse)
+    for G, ctype in cases:
+        report = classify(G)
+        assert report.cycloidal_type == ctype, G.origin
+        assert report.fr_verdict.answer, G.origin
 
 
 def test_classify_invariants():

@@ -9,7 +9,9 @@ subgroups by a walk along each element's powers, the finite quaternion
 groups by a closure on Fraction-valued quaternions, the closures,
 normalizers, centralizers and commutators of subgroups by scalar loops over
 the multiplication rows table.tolist(), and the semiprime scan by one capped
-closure per pair of prime-order subgroups.  Tables derived from a proved group skip Light's
+closure per pair of prime-order subgroups, and the Sylow profile and the
+cycloidal type by isomorphism searches against reference groups, the type
+from the table of G/O(G).  Tables derived from a proved group skip Light's
 test; the full test must still accept each of them.
 """
 
@@ -22,7 +24,7 @@ from math import log2
 import numpy as np
 import pytest
 
-from corpus import octahedral_2o, structural_corpus
+from corpus import octahedral_2o, sd_triples, structural_corpus
 from so3 import order10_icosian
 from test_properties import (
     BIG_ORDERS,
@@ -32,11 +34,31 @@ from test_properties import (
     _loop_product_tables,
     _perturbed_tables,
 )
-from freerep.classify import is_semiprime_cyclic, odd_core
+from freerep.classify import (
+    BINARY_OCTAHEDRAL_TYPE,
+    BINARY_TETRAHEDRAL_TYPE,
+    NON_SOLVABLE,
+    NOT_CYCLOIDAL,
+    QUATERNION_TYPE,
+    SYLOW_CYCLIC,
+    cycloidal_type,
+    is_semiprime_cyclic,
+    is_sylow_cycloidal,
+    odd_core,
+    sylow_profile,
+)
 from freerep.cli import parse_group_spec
-from freerep.constructors import binary_polyhedral, cyclic, dihedral, sd, sl2
+from freerep.constructors import (
+    binary_polyhedral,
+    cyclic,
+    dihedral,
+    direct_product,
+    generalized_quaternion,
+    sd,
+    sl2,
+)
 from freerep.cyclotomic import is_prime, prime_factors
-from freerep.errors import CapExceeded, NotAGroup, NotUnit
+from freerep.errors import CapExceeded, NotAGroup, NotCycloidal, NotUnit
 from freerep.groups import (
     BLOCK_ROWS,
     Group,
@@ -44,6 +66,7 @@ from freerep.groups import (
     Subgroup,
     _close_with_map,
     _validate_table,
+    build_group,
     center,
     centralizer,
     commutator_of_subgroup,
@@ -51,6 +74,8 @@ from freerep.groups import (
     cyclic_subgroups,
     full_subgroup,
     generating_sequence,
+    is_isomorphic,
+    is_solvable,
     mulclose,
     normal_closure,
     normalizer,
@@ -613,3 +638,100 @@ def test_semiprime_scan_matches_the_pairwise_closures():
             p, q = primes
             branches.add("p = q" if p == q else "p < q" if p < q else "p > q")
     assert branches == {"p = q", "p < q", "p > q"}
+
+
+def _sylow_profile_by_isomorphism(G):
+    # {p: (order, kind)}: a noncyclic Sylow 2-subgroup with one involution is
+    # matched against the model Q_(2^n) of its order
+    orders = G.element_orders()
+    profile = {}
+    for p in prime_factors(G.order):
+        P = sylow_subgroup(G, p)
+        size = len(P)
+        if any(orders[g] == size for g in P.elements):
+            kind = "cyclic"
+        elif p == 2 and size >= 8 and \
+                sum(1 for g in P.elements if orders[g] == 2) == 1:
+            match = is_isomorphic(P.as_group(), generalized_quaternion(size))
+            kind = "generalized_quaternion" if match is not None else "other"
+        else:
+            kind = "other"
+        profile[p] = (size, kind)
+    return profile
+
+
+def _cycloidal_type_by_quotient(G):
+    # G/O(G) built as a table and matched against the models of its type
+    profile = _sylow_profile_by_isomorphism(G)
+    if any(kind != "cyclic" and (p, kind) != (2, "generalized_quaternion")
+           for p, (_, kind) in profile.items()):
+        return NOT_CYCLOIDAL
+    if not is_solvable(G):
+        return NON_SOLVABLE
+    Q, _ = quotient_group(G, odd_core(G))
+    n = Q.order
+    if n & (n - 1) == 0 and Q.is_cyclic():
+        return SYLOW_CYCLIC
+    if n & (n - 1) == 0 and n >= 8 and \
+            is_isomorphic(Q, generalized_quaternion(n)) is not None:
+        return QUATERNION_TYPE
+    if n == 24 and is_isomorphic(Q, sl2(3)) is not None:
+        return BINARY_TETRAHEDRAL_TYPE
+    if n == 48 and is_isomorphic(Q, octahedral_2o()) is not None:
+        return BINARY_OCTAHEDRAL_TYPE
+    raise NotCycloidal(f"G/O(G) of order {n} matches no cycloidal type")
+
+
+def _q8_by_c9():
+    # Q8 x| C9, the generator of C9 acting as i -> j -> k -> i: its C3 is
+    # central, so O(G) = C3 and G/O(G) = 2T is no direct factor of G.
+    # Q8 element 4s + a is (-1)^s times 1, i, j, k for a = 0..3
+    def qmul(x, y):
+        (s, a), (t, b) = divmod(x, 4), divmod(y, 4)
+        if a == 0 or b == 0:
+            return 4 * (s ^ t) + a + b
+        if a == b:
+            return 4 * (s ^ t ^ 1)
+        return 4 * (s ^ t ^ ((b - a) % 3 != 1)) + 6 - a - b
+
+    def act(c, y):
+        s, a = divmod(y, 4)
+        for _ in range(c % 3):
+            a = a % 3 + 1 if a else 0
+        return 4 * s + a
+
+    def mult(x, y):
+        (q, c), (r, d) = divmod(x, 9), divmod(y, 9)
+        return 9 * qmul(q, act(c, r)) + (c + d) % 9
+
+    return build_group(mult, 72, origin="Q8:C9")
+
+
+def _cycloidal_type_corpus():
+    odd = [cyclic(3), cyclic(5), cyclic(7), cyclic(9), sd(7, 3, 2)]
+    two = [generalized_quaternion(8), generalized_quaternion(16), sl2(3),
+           octahedral_2o()]
+    return (structural_corpus() + [sd(*t) for t in sd_triples(128)]
+            + two + [direct_product(A, B) for A in odd for B in two]
+            + [_q8_by_c9(), binary_polyhedral("2I")])
+
+
+def test_sylow_profile_and_cycloidal_type_match_the_isomorphism_searches():
+    seen = set()
+    for G in _cycloidal_type_corpus():
+        profile = {p: (c.order, c.kind) for p, c in sylow_profile(G).items()}
+        assert profile == _sylow_profile_by_isomorphism(G), G.origin
+        ctype = cycloidal_type(G) if is_sylow_cycloidal(G) else NOT_CYCLOIDAL
+        assert ctype == _cycloidal_type_by_quotient(G), G.origin
+        seen.add(ctype)
+    assert seen == {SYLOW_CYCLIC, QUATERNION_TYPE, BINARY_TETRAHEDRAL_TYPE,
+                    BINARY_OCTAHEDRAL_TYPE, NON_SOLVABLE, NOT_CYCLOIDAL}
+
+
+def test_q8_by_c9_is_of_binary_tetrahedral_type_with_no_direct_factor():
+    G = _q8_by_c9()
+    # 2T x C3, the one group of order 72 with a direct factor 2T, has no
+    # element of order 9
+    assert 9 in G.element_orders()
+    assert len(odd_core(G)) == 3
+    assert cycloidal_type(G) == BINARY_TETRAHEDRAL_TYPE
