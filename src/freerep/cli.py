@@ -12,14 +12,10 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
-    BadConductor,
-    BadParams,
-    BadSize,
     CapExceeded,
     DeadlineExceeded,
     FreerepError,
     InvariantViolated,
-    NotAGroup,
     NotFreelyRepresentable,
     ParseError,
 )
@@ -328,14 +324,14 @@ def survey210() -> dict:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_analyze(spec_text: str, as_json: bool) -> tuple:
+def cmd_analyze(spec_text: str, as_json: bool) -> str:
     spec = parse_group_spec(spec_text)
     G = spec.build()
     report = classify(G)
     data = report.to_json()
     data["group_spec"] = spec.canonical()
     if as_json:
-        return 0, json.dumps(data, indent=2)
+        return json.dumps(data, indent=2)
     lines = [
         f"group {spec.canonical()} of order {G.order}",
         "sylow profile: " + ", ".join(
@@ -354,50 +350,50 @@ def cmd_analyze(spec_text: str, as_json: bool) -> tuple:
     ]
     if report.fr_verdict.witness is not None:
         lines.append(f"witness subgroup of order {len(report.fr_verdict.witness)}")
-    return 0, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def cmd_norm_relation(spec_text: str, as_json: bool) -> tuple:
+def cmd_norm_relation(spec_text: str, as_json: bool) -> str:
     spec = parse_group_spec(spec_text)
     G = spec.build()
     out = find_norm_relation(G)
     if out.certificate is None:
         if as_json:
-            return 0, json.dumps({
+            return json.dumps({
                 "group_spec": spec.canonical(),
                 "certificate": None,
                 "ideal_dimension": out.ideal_dimension,
                 "freely_representable": True,
             }, indent=2)
-        return 0, (f"none (freely representable); "
-                   f"norm ideal has dimension {out.ideal_dimension} < {G.order}")
+        return (f"none (freely representable); "
+                f"norm ideal has dimension {out.ideal_dimension} < {G.order}")
     cert = out.certificate
     if as_json:
-        return 0, json.dumps(cert.to_json(spec.canonical()), indent=2)
+        return json.dumps(cert.to_json(spec.canonical()), indent=2)
     lines = [f"norm relation of unity for {spec.canonical()} "
              f"({len(cert.terms)} terms, verified={cert.verified}):"]
     for sub, coeff in cert.terms:
         lines.append(f"  [{coeff!r}] * N(subgroup of order {len(sub)})")
-    return 0, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def cmd_represent(spec_text: str, as_json: bool) -> tuple:
+def cmd_represent(spec_text: str, as_json: bool) -> str:
     spec = parse_group_spec(spec_text)
     G = spec.build()
     try:
         rep = build_free_representation(G)
     except NotFreelyRepresentable as exc:
         if as_json:
-            return 0, json.dumps({"group_spec": spec.canonical(),
-                                  "representation": None,
-                                  "reason": str(exc)}, indent=2)
-        return 0, f"not freely representable: {exc}"
+            return json.dumps({"group_spec": spec.canonical(),
+                               "representation": None,
+                               "reason": str(exc)}, indent=2)
+        return f"not freely representable: {exc}"
     if rep is None:
         if as_json:
-            return 0, json.dumps({"group_spec": spec.canonical(),
-                                  "representation": None,
-                                  "reason": "unsupported shape"}, indent=2)
-        return 0, "freely representable, but no constructive route (unsupported shape)"
+            return json.dumps({"group_spec": spec.canonical(),
+                               "representation": None,
+                               "reason": "unsupported shape"}, indent=2)
+        return "freely representable, but no constructive route (unsupported shape)"
     report = verify_free(rep)
     if not report.free:
         raise InvariantViolated(
@@ -406,16 +402,16 @@ def cmd_represent(spec_text: str, as_json: bool) -> tuple:
     if as_json:
         data = rep.to_json(spec.canonical())
         data["verified_free"] = report.free
-        return 0, json.dumps(data, indent=2)
-    return 0, (f"free representation of degree {rep.degree} over "
-               f"Q(zeta_{rep.conductor}); the norm sum of every "
-               f"prime-order cyclic subgroup vanishes")
+        return json.dumps(data, indent=2)
+    return (f"free representation of degree {rep.degree} over "
+            f"Q(zeta_{rep.conductor}); the norm sum of every "
+            f"prime-order cyclic subgroup vanishes")
 
 
-def cmd_census(p: int, as_json: bool) -> tuple:
+def cmd_census(p: int, as_json: bool) -> str:
     data = census_report(p)
     if as_json:
-        return 0, json.dumps(data, indent=2)
+        return json.dumps(data, indent=2)
     lines = [f"SL2(F_{p}): order {data['group_order']} "
              f"(formula holds: {data['order_formula_holds']}, "
              f"unique involution: {data['unique_involution']})",
@@ -424,13 +420,13 @@ def cmd_census(p: int, as_json: bool) -> tuple:
         lines.append(f"{row['m']:>4} {row['predicted']:>10} "
                      f"{row['observed']:>10} {str(row['match']).lower()}")
     lines.append(f"all match: {data['all_match']}")
-    return 0, "\n".join(lines)
+    return "\n".join(lines)
 
 
-def cmd_survey210(as_json: bool) -> tuple:
+def cmd_survey210(as_json: bool) -> str:
     data = survey210()
     if as_json:
-        return 0, json.dumps(data, indent=2)
+        return json.dumps(data, indent=2)
     lines = [f"{'|A|':>4} {'r class':>10} {'mu order':>9} {'FR':>4} match"]
     for row in data["rows"]:
         lines.append(
@@ -438,12 +434,7 @@ def cmd_survey210(as_json: bool) -> tuple:
             f"{row['mu_order']:>9} {'yes' if row['freely_representable'] else 'no':>4} "
             f"{str(row['matches_expected']).lower()}")
     lines.append(f"classes: {data['class_count']}; all match: {data['all_match']}")
-    return 0, "\n".join(lines)
-
-
-def _structured_error(kind: str, exc: Exception, offending: str) -> str:
-    return json.dumps({"kind": kind, "detail": str(exc),
-                       "offending_input": offending})
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -471,26 +462,20 @@ def main(argv=None) -> int:
     try:
         with limits(seconds=args.deadline, cap=args.cap):
             if args.command == "analyze":
-                code, text = cmd_analyze(args.spec, args.json)
+                text = cmd_analyze(args.spec, args.json)
             elif args.command == "norm-relation":
-                code, text = cmd_norm_relation(args.spec, args.json)
+                text = cmd_norm_relation(args.spec, args.json)
             elif args.command == "represent":
-                code, text = cmd_represent(args.spec, args.json)
+                text = cmd_represent(args.spec, args.json)
             elif args.command == "census":
-                code, text = cmd_census(args.p, args.json)
+                text = cmd_census(args.p, args.json)
             else:
-                code, text = cmd_survey210(args.json)
-    except (CapExceeded, DeadlineExceeded) as exc:
-        print(_structured_error(type(exc).__name__, exc,
-                                getattr(args, "spec", args.command)),
+                text = cmd_survey210(args.json)
+    except FreerepError as exc:
+        print(json.dumps({"kind": type(exc).__name__, "detail": str(exc),
+                          "offending_input": getattr(args, "spec", args.command)}),
               file=sys.stderr)
-        return 2
-    except (ParseError, BadParams, BadSize, NotAGroup, BadConductor,
-            FreerepError) as exc:
-        print(_structured_error(type(exc).__name__, exc,
-                                getattr(args, "spec", args.command)),
-              file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (CapExceeded, DeadlineExceeded)) else 1
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -1,5 +1,8 @@
 """Constructors for the named groups: cyclic, dihedral, dicyclic/quaternion,
-cyclic semidirect products, direct products, SL2(F_p), binary polyhedral."""
+cyclic semidirect products, direct products, SL2(F_p), binary polyhedral.
+
+The two-generator families (dihedral, dicyclic, semidirect, SL2) are filled
+from their generators' permutations by groups.table_from_generators."""
 
 from __future__ import annotations
 
@@ -25,20 +28,29 @@ def cyclic(n: int, *, origin: str | None = None) -> Group:
     return Group(table, labels=labels, origin=origin or f"C{n}")
 
 
+def _presentation_table(m: int, n: int, r: int, s: int, strides: tuple) -> np.ndarray:
+    """Cayley table of <a, b | a^m = 1, b^n = a^s, b a b^-1 = a^r> on the
+    normal forms a^i b^j, element i*strides[0] + j*strides[1]: the left
+    multiplications a * a^i b^j = a^(i+1) b^j and b * a^i b^j = a^(ir) b^(j+1),
+    with b^n = a^s, handed to table_from_generators."""
+    i = np.arange(m)[:, None]
+    j = np.arange(n)[None, :]
+
+    def index(x, y):
+        return x % m * strides[0] + y % n * strides[1]
+
+    perms = np.empty((2, m * n), dtype=np.int32)
+    perms[:, index(i, j)] = [index(i + 1, j), index(i * r + s * (j == n - 1), j + 1)]
+    return table_from_generators(perms)
+
+
 def dihedral(n: int) -> Group:
     """Dihedral group of order 2n: rho^n = 1, tau^2 = 1, tau rho tau = rho^-1."""
     if n < 2:
         raise BadParams("dihedral parameter must be >= 2")
     check_order(2 * n, ORDER_CAP, "dihedral")
     # element i + n*j  <->  rho^i tau^j
-    i = np.arange(2 * n, dtype=np.int32)
-    r, t = i % n, i // n
-    r1, t1 = r[:, None], t[:, None]
-    r2, t2 = r[None, :], t[None, :]
-    # rho^a tau^b * rho^c tau^d = rho^(a + c*(-1)^b) tau^(b+d)
-    rr = (r1 + np.where(t1 == 1, -r2, r2)) % n
-    tt = (t1 + t2) % 2
-    table = (rr + n * tt).astype(np.int32)
+    table = _presentation_table(n, 2, -1, 0, (1, n))
     labels = [f"r^{a}t" if b else f"r^{a}" for b in (0, 1) for a in range(n)]
     labels[0] = "e"
     return Group(table, labels=labels, origin=f"D{n}")
@@ -48,11 +60,10 @@ def direct_product(G: Group, H: Group) -> Group:
     """Direct product with element (a, b) encoded as a*|H| + b."""
     order = G.order * H.order
     check_order(order, ORDER_CAP, "direct_product")
-    nh = H.order
-    i = np.arange(order, dtype=np.int64)
-    a, b = i // nh, i % nh
-    table = (G.table[np.ix_(a, a)].astype(np.int64) * nh
-             + H.table[np.ix_(b, b)]).astype(np.int32)
+    a, b = np.divmod(np.arange(order, dtype=np.int32), H.order)
+    table = G.table[np.ix_(a, a)]
+    table *= H.order
+    table += H.table[np.ix_(b, b)]
     labels = None
     if G.labels and H.labels:
         labels = [f"({G.label(int(x))},{H.label(int(y))})" for x, y in zip(a, b)]
@@ -69,22 +80,16 @@ def dicyclic(m: int) -> Group:
     n2 = 2 * m  # order of <R>
     order = 4 * m
     check_order(order, ORDER_CAP, "dicyclic")
-    i = np.arange(order, dtype=np.int32)
-    r, t = i % n2, i // n2
-    r1, t1 = r[:, None], t[:, None]
-    r2, t2 = r[None, :], t[None, :]
-    # R^a T^b * R^c T^d:  T R^c = R^-c T, and T^2 = R^m
-    rr = (r1 + np.where(t1 == 1, -r2, r2)) % n2
-    tsum = t1 + t2
-    rr = (rr + np.where(tsum == 2, m, 0)) % n2
-    tt = tsum % 2
-    table = (rr + n2 * tt).astype(np.int32)
+    # element i + 2m*j  <->  R^i T^j
+    table = _presentation_table(n2, 2, -1, m, (1, n2))
     labels = [f"R^{a}T" if b else f"R^{a}" for b in (0, 1) for a in range(n2)]
     labels[0] = "e"
     labels[n2] = "T"
-    if n2 > 1:
-        labels[1] = "R"
-    return Group(table, labels=labels, origin=f"dicyclic({order})")
+    labels[1] = "R"
+    G = Group(table, labels=labels, origin=f"dicyclic({order})")
+    if G.element_orders().count(2) != 1:
+        raise InvariantViolated("dicyclic group must have a unique involution")
+    return G
 
 
 def generalized_quaternion(size: int) -> Group:
@@ -97,8 +102,6 @@ def generalized_quaternion(size: int) -> Group:
         raise BadSize("generalized quaternion size must be a power of 2, >= 8")
     G = dicyclic(size // 4)
     G.origin = f"Q{size}"
-    if G.element_orders().count(2) != 1:
-        raise InvariantViolated("quaternion group must have a unique involution")
     return G
 
 
@@ -128,14 +131,9 @@ def semidirect_cyclic(params: SemidirectParams) -> Group:
     params.validate()
     m, n, r = params.m, params.n, params.r
     check_order(m * n, ORDER_CAP, "semidirect_cyclic")
-    i = np.arange(m * n, dtype=np.int64)
-    ai, bj = i // n, i % n
-    rpow = np.array([pow(r, int(j), m) for j in range(n)], dtype=np.int64)
-    # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + i2*r^j1) b^(j1+j2)
-    aa = (ai[:, None] + ai[None, :] * rpow[bj][:, None]) % m
-    bb = (bj[:, None] + bj[None, :]) % n
-    table = (aa * n + bb).astype(np.int32)
-    labels = [f"a^{int(x)}b^{int(y)}" for x, y in zip(ai, bj)]
+    # element i*n + j  <->  a^i b^j
+    table = _presentation_table(m, n, r, 0, (n, 1))
+    labels = [f"a^{x}b^{y}" for x in range(m) for y in range(n)]
     labels[0] = "e"
     G = Group(table, labels=labels, origin=f"sd({m},{n},{r})")
     # postcondition: commutator subgroup is <a^(r-1)>
@@ -217,7 +215,5 @@ def binary_polyhedral(kind: str, n: int | None = None) -> Group:
             raise BadParams("2D_n requires n >= 2")
         G = dicyclic(n)
         G.origin = f"2D{n}"
-        if G.element_orders().count(2) != 1:
-            raise InvariantViolated("2D_n must have a unique involution")
         return G
     raise BadParams(f"unknown binary polyhedral kind {kind!r}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadConductor, InvariantViolated
+from .errors import BadConductor, BadParams, InvariantViolated
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,8 +32,20 @@ def euler_phi(n: int) -> int:
     return n
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+    """Miller-Rabin to the prime bases 2..37, which is exact below 2^64;
+    larger p raise BadParams."""
+    if p >= 2 ** 64:
+        raise BadParams(f"primality is decided below 2^64, not for {p.bit_length()} bits")
+    if p < 2 or any(p % q == 0 for q in _WITNESSES):
+        return p in _WITNESSES
+    k = ((p - 1) & (1 - p)).bit_length() - 1  # 2^k is the 2-part of p - 1
+    d = (p - 1) >> k
+    return all(pow(q, d, p) == 1 or p - 1 in (pow(q, d << t, p) for t in range(k))
+               for q in _WITNESSES)
 
 
 @lru_cache(maxsize=None)

@@ -178,6 +178,15 @@ def test_limits_out_of_range_exit_1(flags, capsys):
     assert json.loads(capsys.readouterr().err)["kind"] == "BadParams"
 
 
+def test_sl2_of_a_huge_modulus_fails_fast(capsys):
+    # 10^400 is beyond the exact primality test; 10^18 + 3 is a prime whose
+    # SL2 is far above the cap, found without waiting for the deadline
+    assert main(["analyze", "SL2(1" + "0" * 400 + ")"]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "BadParams"
+    assert main(["--deadline", "1", "analyze", "SL2(1000000000000000003)"]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "CapExceeded"
+
+
 def test_cap_opts_in_to_the_sl2_17_census(capsys):
     assert main(["--cap", "5000", "census", "17"]) == 0
     out = capsys.readouterr().out

@@ -6,12 +6,32 @@ from fractions import Fraction
 
 import pytest
 
-from freerep.errors import BadConductor
+from freerep.errors import BadConductor, BadParams
 from freerep.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
     euler_phi,
+    is_prime,
 )
+
+
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for p in [*range(-3, 200_000), *range(2 ** 31 - 1000, 2 ** 31)]:
+        assert is_prime(p) == _is_prime_by_trial_division(p), p
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_stops_at_2_64():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2..23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    assert not is_prime(2 ** 64 - 1)
+    with pytest.raises(BadParams):
+        is_prime(2 ** 64)
 
 
 def test_euler_phi():
