@@ -14,7 +14,6 @@ from .groups import (
     all_subgroups,
     build_group,
     count_nth_roots,
-    is_isomorphic,
     quotient_group,
     structure_ops,
     subgroup_generated,
@@ -82,7 +81,6 @@ __all__ = [
     "all_subgroups",
     "build_group",
     "count_nth_roots",
-    "is_isomorphic",
     "quotient_group",
     "structure_ops",
     "subgroup_generated",

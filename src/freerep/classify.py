@@ -34,8 +34,8 @@ from .groups import (
     center,
     commutator_subgroup,
     cyclic_subgroups,
+    embed_sl2,
     full_subgroup,
-    is_isomorphic,
     is_solvable,
     mulclose,
     normal_closure,
@@ -46,7 +46,6 @@ from .groups import (
     trivial_subgroup,
 )
 from .run import check_deadline
-from .sl2census import sl2_group
 
 FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
@@ -270,7 +269,7 @@ def _suzuki_zassenhaus_structure(G: Group) -> Optional[dict]:
         E = perfect_core(HG)
         if len(E) != 120:
             continue
-        if is_isomorphic(E.as_group(), sl2_group(5)) is None:
+        if embed_sl2(HG, E.elements, 5) is None:
             continue
         M = _odd_part_of_centralizer(HG, E)
         if len(E) * len(M) != HG.order:
@@ -295,7 +294,8 @@ def _embedded_fermat_sl2(G: Group) -> Optional[tuple]:
     """Search for an SL2(F_p) with Fermat p >= 17 inside G.
 
     Under the order cap only |G| = |SL2(F_17)| = 4896 is reachable, in which
-    case the embedding must be an isomorphism.
+    case the embedding must be an isomorphism, found by the matrix walk of
+    groups.embed_sl2 without a table of SL2(F_17).
     """
     for p in FERMAT_PRIMES:
         if p < 17:
@@ -303,9 +303,8 @@ def _embedded_fermat_sl2(G: Group) -> Optional[tuple]:
         size = (p - 1) * p * (p + 1)
         if size > G.order:
             break
-        if size == G.order:
-            if is_isomorphic(G, sl2_group(p)) is not None:
-                return p, full_subgroup(G)
+        if size == G.order and embed_sl2(G, G.elements(), p) is not None:
+            return p, full_subgroup(G)
     return None
 
 

@@ -19,7 +19,7 @@ from .errors import (
     NotFreelyRepresentable,
     ParseError,
 )
-from .groups import Group, is_isomorphic
+from .groups import Group, Homomorphism
 from .classify import classify, is_freely_representable, mcc_subgroup
 from .normrel import find_norm_relation
 from .represent import build_free_representation, verify_free
@@ -296,10 +296,14 @@ def survey210() -> dict:
         mu = mcc_subgroup(G)
         fr = is_freely_representable(G)
         expected = _SURVEY_EXPECTED.get((m, cls[0]))
-        # duplicates merged by r <-> r^-1 really are isomorphic
-        if len(cls) == 2 and is_isomorphic(G, sd(m, 210 // m, cls[1])) is None:
-            raise InvariantViolated(f"sd({m},{210 // m},r) for r in {cls} "
-                                    "are not isomorphic")
+        # duplicates merged by r <-> r^-1 really are isomorphic, by
+        # a^i b^j -> a^i b^-j, with element a^i b^j at index i*n + j
+        if len(cls) == 2:
+            n = 210 // m
+            flip = [i * n + (-j) % n for i in range(m) for j in range(n)]
+            if not Homomorphism(G, sd(m, n, cls[1]), flip).is_bijective():
+                raise InvariantViolated(f"sd({m},{n},r) for r in {cls} "
+                                        "are not isomorphic")
         rows.append({
             "A_order": m,
             "r_class": list(cls),

@@ -8,13 +8,15 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import InvariantViolated, NotAGroup, NotConjugationClosed, NotNormal
+from .errors import (BadParams, InvariantViolated, NotAGroup, NotConjugationClosed,
+                     NotNormal)
 from .run import check_deadline, check_order
 
 # default caps on the group order, replaced by the run's cap when it has one
@@ -127,6 +129,13 @@ class Group:
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders()
+
+    def generators(self) -> list:
+        """At most log2(n) generators: those Light's test checked when the
+        table was validated, else the same greedy choice."""
+        if self._generators is None:
+            self._generators = _greedy_generators(self.table)
+        return self._generators
 
     def exponent_generator(self) -> Optional[int]:
         """Some element of full order, if the group is cyclic."""
@@ -545,7 +554,7 @@ def commutator_subgroup(G: Group) -> Subgroup:
     """G' is the normal closure N of [s, t] for s, t generators: G/N is abelian."""
     if G._commutator is None:
         table, inv = G.table, G.inverse
-        s = np.array(G._generators or _greedy_generators(table), dtype=np.int64)
+        s = np.array(G.generators(), dtype=np.int64)
         comms = table[table[inv[s][:, None], inv[s]], table[s[:, None], s]]  # [s, t]
         G._commutator = normal_closure(G, set(comms.ravel().tolist()) - {0})
     return G._commutator
@@ -677,6 +686,8 @@ class Homomorphism:
             self.verify()
 
     def verify(self) -> None:
+        """phi(s * x) == phi(s) * phi(x) for s in source.generators() and
+        every x proves it for all pairs, by induction on word length."""
         if len(self.map) != self.source.order:
             raise NotAGroup("homomorphism map has wrong length")
         if self.map[0] != 0:
@@ -684,15 +695,12 @@ class Homomorphism:
         m = np.fromiter(self.map, dtype=np.int64)
         if m.min() < 0 or m.max() >= self.target.order:
             raise NotAGroup("homomorphism image out of range")
-        source, target = self.source.table, self.target.table
-        for start in range(0, len(m), BLOCK_ROWS):
-            check_deadline()
-            block = slice(start, start + BLOCK_ROWS)
-            lhs = m.take(source[block])
-            rhs = target.take(m[block], axis=0).take(m, axis=1)
-            if not np.array_equal(lhs, rhs):
-                i, j = np.argwhere(lhs != rhs)[0]
-                raise NotAGroup("map is not multiplicative", (start + int(i), int(j)))
+        gens = np.array(self.source.generators(), dtype=np.int64)
+        lhs = m[self.source.table[gens]]
+        rhs = self.target.table[m[gens][:, None], m]
+        if not np.array_equal(lhs, rhs):
+            i, x = np.argwhere(lhs != rhs)[0]
+            raise NotAGroup("map is not multiplicative", (int(gens[i]), int(x)))
 
     def __call__(self, g: int) -> int:
         return self.map[g]
@@ -729,103 +737,80 @@ def quotient_group(G: Group, N: Subgroup) -> tuple:
     return Q, proj
 
 
-# -- isomorphism testing ------------------------------------------------------
+# -- SL2(F_p) recognition ------------------------------------------------------
 
 
-def generating_sequence(G: Group) -> list:
-    """A short generating sequence, greedily maximizing subgroup growth."""
-    if G.order == 1:
-        return []
-    orders = G.element_orders()
-    by_order = sorted(range(1, G.order), key=lambda g: -orders[g])
-    gens = []
-    current = {0}
-    while len(current) < G.order:
-        best, best_closure = None, None
-        scanned = 0
-        for g in by_order:
-            if g in current:
-                continue
-            closure = mulclose(G, gens + [g])
-            if len(closure) == G.order:
-                best, best_closure = g, closure
-                break
-            if best_closure is None or len(closure) > len(best_closure):
-                best, best_closure = g, closure
-            scanned += 1
-            if scanned >= 40:
-                break
-        gens.append(best)
-        current = set(best_closure)
-    return gens
+@lru_cache(maxsize=None)
+def _sl2_walk(p: int) -> tuple:
+    """SL2(F_p) walked breadth-first from I by left multiplication with
+    S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], each product computed mod p
+    and numbered when first reached: (succ, parent, gen, bounds).  succ[j, k]
+    numbers g_j * m_k for (g_0, g_1) = (S, T); m_k = g_gen[k] * m_parent[k]
+    for k > 0; the matrices of level L are numbered bounds[L]..bounds[L+1]-1."""
+    mats = [(1, 0, 0, 1)]
+    number = {mats[0]: 0}
+    succ, parent, gen, depth = [[], []], [0], [0], [0]
+    for k, (a, b, c, d) in enumerate(mats):  # mats grows as the walk goes
+        for j, m in enumerate(((-c % p, -d % p, a, b),
+                               ((a + c) % p, (b + d) % p, c, d))):
+            if m not in number:
+                number[m] = len(mats)
+                mats.append(m)
+                parent.append(k)
+                gen.append(j)
+                depth.append(depth[k] + 1)
+            succ[j].append(number[m])
+    if len(mats) != (p - 1) * p * (p + 1):
+        raise InvariantViolated(f"S and T reach {len(mats)} matrices of SL2(F_{p})")
+    bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
+    return np.array(succ), np.array(parent), np.array(gen), bounds
 
 
-def _close_with_map(G: Group, H: Group, genpairs: list) -> Optional[dict]:
-    """Extend {0:0} multiplicatively along genpairs; None on conflict."""
-    m = {0: 0}
-    frontier = [0]
-    gcells, hcells = memoryview(G.table), memoryview(H.table)
-    while frontier:
-        new = []
-        for x in frontier:
-            hx = m[x]
-            for g, h in genpairs:
-                y = gcells[x, g]
-                hy = hcells[hx, h]
-                known = m.get(y)
-                if known is None:
-                    m[y] = hy
-                    new.append(y)
-                elif known != hy:
-                    return None
-        frontier = new
-    return m
-
-
-def is_isomorphic(G: Group, H: Group) -> Optional[Homomorphism]:
-    """An isomorphism witness, or None.  Absence of a witness is a value."""
-    if G.order != H.order:
-        return None
-    if G.order == 1:
-        return Homomorphism(G, H, [0])
-    if G.fingerprint() != H.fingerprint():
-        return None
-    gens = generating_sequence(G)
-    gorders = G.element_orders()
-    horders = H.element_orders()
-    hclasses = H.conjugacy_classes()
-    g_inv = [(gorders[g], len(G.class_of(g))) for g in gens]
-    candidates = []
-    for inv in g_inv:
-        cand = [h for cls in hclasses
-                for h in cls
-                if (horders[h], len(cls)) == inv]
-        candidates.append(cand)
-
-    assignment = [None] * len(gens)
-
-    def backtrack(i: int) -> Optional[dict]:
+def _sl2_images(G: Group, p: int, s: int, t: int) -> Optional[np.ndarray]:
+    """The images in G of the matrices in walk order under the homomorphism
+    with S -> s, T -> t, or None at the first level holding an edge
+    m -> g * m with phi(g * m) != phi(g) * phi(m), or if phi is not injective."""
+    succ, parent, gen, bounds = _sl2_walk(p)
+    table, images = G.table, np.array([s, t])
+    phi = np.zeros(succ.shape[1], dtype=np.int64)
+    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:] + bounds[-1:]):
         check_deadline()
-        if i == len(gens):
-            m = _close_with_map(G, H, list(zip(gens, assignment)))
-            if m and len(m) == G.order and len(set(m.values())) == G.order:
-                return m
+        phi[mid:hi] = table[images[gen[mid:hi]], phi[parent[mid:hi]]]
+        if not np.array_equal(table[images[:, None], phi[lo:mid]], phi[succ[:, lo:mid]]):
             return None
-        for h in candidates[i]:
-            assignment[i] = h
-            m = _close_with_map(G, H, list(zip(gens[: i + 1], assignment[: i + 1])))
-            if m is not None and len(set(m.values())) == len(m):
-                result = backtrack(i + 1)
-                if result is not None:
-                    return result
-        assignment[i] = None
-        return None
+    hit = np.zeros(G.order, dtype=bool)
+    hit[phi] = True
+    return phi if np.count_nonzero(hit) == phi.size else None
 
-    m = backtrack(0)
-    if m is None:
+
+def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
+    """An embedding phi of SL2(F_p) (p an odd prime) into G with S and T sent
+    into elements, as the images of the matrices in the order of _sl2_walk,
+    or None.  When elements is a subgroup of order p(p^2 - 1), None proves it
+    is not isomorphic to SL2(F_p).
+
+    T goes to t, the first element of order p in elements, and S is scanned
+    over the elements of order 4; each candidate s stops at its first level
+    with a conflicting edge.  Sound: phi(I) = 1 and phi(g * m) = phi(g) *
+    phi(m) for g in {S, T} and every m give, by induction on word length, a
+    homomorphism on <S, T> = SL2(F_p), an embedding when injective.
+    Complete: if psi is an isomorphism from SL2(F_p) onto elements, psi^-1(t)
+    has order p, so its only eigenvalue is 1 and, not being I, it is A T A^-1
+    for some A in GL2(F_p).  Conjugation by A is an automorphism of the
+    normal subgroup SL2(F_p), so m -> psi(A m A^-1) is an isomorphism sending
+    T to t and S to an element of order 4, which the scan reaches."""
+    if p == 2 or not is_prime(p):
+        raise BadParams(f"{p} is not an odd prime")
+    orders = G.element_orders()
+    t = next((g for g in elements if orders[g] == p), None)
+    if t is None:
         return None
-    index_map = [m[g] for g in range(G.order)]
-    return Homomorphism(G, H, index_map)
+    for s in elements:
+        if orders[s] == 4:
+            phi = _sl2_images(G, p, s, t)
+            if phi is not None:
+                return phi
+    return None
 
 
 # -- Frobenius counting --------------------------------------------------------

@@ -33,8 +33,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
     cyclic_subgroups,
-    generating_sequence,
-    is_isomorphic,
+    embed_sl2,
     left_cosets,
     subgroup_generated,
     sylow_subgroup,
@@ -260,7 +259,7 @@ class Representation:
         # numerators must equal D times those of rho(sh).
         D = images.den
         step = max(1, _CHUNK // images.num[0].size)
-        for s in generating_sequence(G):
+        for s in G.generators():
             left, targets = images[s], G.table[s]
             for start in range(0, G.order, step):
                 chunk = slice(start, start + step)
@@ -527,7 +526,8 @@ def build_free_representation(G: Group) -> Optional[Representation]:
 
 def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
     """G = O(G) x H with H iso 2T (order prime to 9): tensor the odd part
-    with the quaternion model of 2T pulled through an isomorphism witness."""
+    with the quaternion model of 2T pulled back along H -> SL2(F_3) -> model,
+    the two embeddings found by the walk of groups.embed_sl2."""
     from .constructors import direct_product
     from .quaternions import finite_quaternion_group, \
         hurwitz_tetrahedral_generators
@@ -556,8 +556,11 @@ def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
     if rep_o is None:
         raise InvariantViolated(f"{OG.origin}: odd core has no representation")
     model = finite_quaternion_group(hurwitz_tetrahedral_generators())
-    psi = is_isomorphic(HG, model)
-    if psi is None:
+    into_h = embed_sl2(HG, HG.elements(), 3)
+    into_model = embed_sl2(model, model.elements(), 3)
+    if into_h is None or into_model is None:
         raise InvariantViolated(f"{G.origin}: order-24 subgroup is not 2T")
-    rep_h = transport(quaternion_embedding_rep(model), psi)
+    to_model = np.empty(24, dtype=np.int64)
+    to_model[into_h] = into_model  # each matrix's image in H -> its image in the model
+    rep_h = transport(quaternion_embedding_rep(model), Homomorphism(HG, model, to_model))
     return transport(tensor_product_rep(rep_o, rep_h, product=product), iso)

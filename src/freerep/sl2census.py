@@ -1,6 +1,7 @@
 """Brute-force verification of the SL2(F_p) structure theory: the cyclic
-subgroup census against its closed forms, the eigenvalue trichotomy,
-conjugacy and normal subgroups, normalizer shape, and the Fermat pq-criterion."""
+subgroup census against its closed forms, the eigenvalue trichotomy and the
+Fermat pq-criterion.  The conjugacy, normal-subgroup and normalizer checks
+live beside their tests, in tests/sl2_theory.py."""
 
 from __future__ import annotations
 
@@ -16,10 +17,7 @@ from .groups import (
     Subgroup,
     conjugates,
     cyclic_subgroups,
-    normal_closure,
-    normalizer,
     subgroup_generated,
-    sylow_subgroup,
 )
 from .run import check_deadline, check_order
 
@@ -133,48 +131,6 @@ def find_conjugator(G: Group, C1: Subgroup, C2: Subgroup) -> Optional[int]:
     return None
 
 
-def conjugacy_and_normals_check(p: int) -> bool:
-    """All equal-order cyclic subgroups are conjugate and meet in <= {+-I};
-    normal subgroups are exactly {1}, {+-1}, G for p >= 5 (iso 2T at p = 3)."""
-    _require_odd_prime(p)
-    G = sl2_group(p)
-    by_order: dict = {}
-    for C in cyclic_subgroups(G):
-        by_order.setdefault(len(C), []).append(C.elset)
-    minus = G.element_orders().index(2)
-    small = frozenset((0, minus))
-    for size, keys in by_order.items():
-        check_deadline()
-        if size <= 2:
-            continue
-        for i, k1 in enumerate(keys):
-            for k2 in keys[i + 1:]:
-                if not (k1 & k2) <= small:
-                    return False
-        orbit = set(map(frozenset, conjugates(G, sorted(keys[0])).tolist()))
-        if orbit != set(keys):
-            return False
-
-    if p == 3:
-        from .quaternions import finite_quaternion_group, \
-            hurwitz_tetrahedral_generators
-        from .groups import is_isomorphic
-
-        if not sylow_subgroup(G, 2).is_normal():
-            return False
-        model = finite_quaternion_group(hurwitz_tetrahedral_generators())
-        return is_isomorphic(G, model) is not None
-
-    # p >= 5: normal subgroups via normal closures of class representatives;
-    # every normal subgroup is a join of closures of its elements
-    closures = set()
-    for cls in G.conjugacy_classes():
-        N = normal_closure(G, [cls[0]])
-        closures.add(N.elset)
-    expected = {frozenset((0,)), small, frozenset(range(G.order))}
-    return closures == expected
-
-
 def _matrix_index(G: Group, mat: tuple) -> int:
     return G.matrices.index(mat)
 
@@ -185,26 +141,6 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise BadParams(f"no primitive root mod {p}")
-
-
-def normalizer_structure_check(p: int) -> bool:
-    """N(C_p) has order (p-1)p and matches C_p x| C_{p-1} with the
-    upper-triangular action b -> a^2 b."""
-    _require_odd_prime(p)
-    G = sl2_group(p)
-    u = _matrix_index(G, (1, 1, 0, 1))
-    C = subgroup_generated(G, [u])
-    if len(C) != p:
-        raise InvariantViolated(f"the unipotent subgroup has order {len(C)}, not {p}")
-    N = normalizer(G, C)
-    if len(N) != (p - 1) * p:
-        return False
-    from .constructors import sd
-    from .groups import is_isomorphic
-
-    g = _primitive_root(p)
-    model = sd(p, p - 1, (g * g) % p)
-    return is_isomorphic(N.as_group(), model) is not None
 
 
 def is_fermat_prime(p: int) -> bool:

@@ -11,12 +11,12 @@ from math import gcd
 
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.groups import (
     all_subgroups,
     center,
     commutator_subgroup,
     count_nth_roots,
-    is_isomorphic,
     normal_subgroups,
     quotient_group,
     subgroup_generated,

@@ -10,12 +10,12 @@ from collections import Counter
 import pytest
 
 from corpus import sd_triples
+from isomorphism import is_isomorphic
 from freerep.cyclotomic import prime_factors
 from freerep.errors import NotCycloidal, NotSylowCyclic
 from freerep.groups import (
     all_subgroups,
     build_group,
-    is_isomorphic,
     normal_subgroups,
 )
 from freerep.constructors import (
@@ -295,12 +295,12 @@ def test_solvable_order_4896_builds_no_sl2_table(monkeypatch):
     # a solvable group holds no perfect SL2(F_17), so the Fermat check that
     # builds one is never reached
     G = sd(17, 288, 3)
-    classify_module = importlib.import_module("freerep.classify")
 
     def refuse(*args):
         raise AssertionError("SL2(F_p) table built")
 
-    monkeypatch.setattr(classify_module, "sl2_group", refuse)
+    for module, name in (("constructors", "sl2"), ("sl2census", "sl2_group")):
+        monkeypatch.setattr(importlib.import_module(f"freerep.{module}"), name, refuse)
     report = classify(G)
     assert report.fr_verdict.criterion == "solvable_semiprime_cyclic"
     assert report.cycloidal_type == SYLOW_CYCLIC
@@ -345,7 +345,8 @@ def test_classify_builds_no_reference_group(monkeypatch):
     for module, name in (("constructors", "generalized_quaternion"),
                          ("constructors", "binary_polyhedral"),
                          ("quaternions", "finite_quaternion_group"),
-                         ("classify", "sl2_group")):
+                         ("constructors", "sl2"),
+                         ("sl2census", "sl2_group")):
         module = importlib.import_module(f"freerep.{module}")
         monkeypatch.setattr(module, name, refuse)
     for G, ctype in cases:

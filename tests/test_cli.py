@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.errors import ParseError
 from freerep.cli import main, parse_group_spec, survey210
-from freerep.groups import is_isomorphic
 from freerep.constructors import cyclic, generalized_quaternion, sd
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.errors import BadParams, BadSize, CapExceeded
 from freerep.groups import (
     commutator_subgroup,
-    is_isomorphic,
     normal_subgroups,
     subgroup_generated,
     sylow_subgroup,

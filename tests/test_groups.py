@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.errors import NotAGroup, NotConjugationClosed, NotNormal
 from freerep.groups import (
     Subgroup,
@@ -19,7 +20,6 @@ from freerep.groups import (
     count_nth_roots,
     cyclic_subgroups,
     derived_series,
-    is_isomorphic,
     is_solvable,
     mulclose,
     normal_subgroups,
@@ -430,6 +430,26 @@ def test_invalid_homomorphism_rejected():
         Homomorphism(G, H, [0, 1, 1, 1])  # not multiplicative
     with pytest.raises(NotAGroup):
         Homomorphism(G, H, [1, 0, 1, 0])  # does not fix the identity
+
+
+def test_homomorphism_with_two_entries_swapped_rejected():
+    # verify checks phi(s * x) = phi(s) * phi(x) for generators s only; a
+    # valid map with the images of two elements of different orders swapped
+    # is no homomorphism, and each such swap must be caught
+    from freerep.groups import Homomorphism
+
+    for G in (cyclic(12), dihedral(6), sd(7, 9, 2), generalized_quaternion(16)):
+        orders = G.element_orders()
+        g = G.order - 1
+        valid = [G.conj(g, x) for x in G.elements()]
+        Homomorphism(G, G, valid)
+        for x in range(1, G.order):
+            for y in range(x + 1, G.order):
+                if orders[x] != orders[y]:
+                    swapped = list(valid)
+                    swapped[x], swapped[y] = swapped[y], swapped[x]
+                    with pytest.raises(NotAGroup, match="not multiplicative"):
+                        Homomorphism(G, G, swapped)
 
 
 def test_mulclose_matches_subgroup():

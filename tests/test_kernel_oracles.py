@@ -36,6 +36,7 @@ from test_properties import (
     _loop_product_tables,
     _perturbed_tables,
 )
+from isomorphism import _close_with_map, is_isomorphic
 from freerep.classify import (
     BINARY_OCTAHEDRAL_TYPE,
     BINARY_TETRAHEDRAL_TYPE,
@@ -67,7 +68,7 @@ from freerep.groups import (
     Group,
     Homomorphism,
     Subgroup,
-    _close_with_map,
+    _sl2_images,
     _validate_table,
     build_group,
     center,
@@ -76,8 +77,6 @@ from freerep.groups import (
     commutator_subgroup,
     cyclic_subgroups,
     full_subgroup,
-    generating_sequence,
-    is_isomorphic,
     is_solvable,
     mulclose,
     normal_closure,
@@ -601,23 +600,32 @@ def test_commutator_of_subgroup_matches_the_row_loop():
 
 
 def test_close_with_map_matches_the_row_loop():
-    for G in _oracle_corpus():
+    # the SL2(F_p) matrix walk with S -> s, T -> t against the closure of
+    # that assignment along the rows of the table of SL2(F_p): the walk
+    # returns images exactly when the closure is a bijective homomorphism,
+    # and then both send each matrix to the same element
+    for p in (3, 5, 7, 11):
+        G = sl2(p)
         rows = G.table.tolist()
+        S, T = G.matrices.index((0, p - 1, 1, 0)), G.matrices.index((1, 1, 0, 1))
+        labels = _sl2_images(G, p, S, T)  # matrix k of the walk is G element labels[k]
+        assert sorted(labels.tolist()) == list(range(G.order)), G.origin
         rng = random.Random(G.order)
-        gens = generating_sequence(G)
         orders = G.element_orders()
-        same_order = {d: [g for g in range(G.order) if orders[g] == d] for d in set(orders)}
+        fours = [g for g in range(G.order) if orders[g] == 4]
+        ps = [g for g in range(G.order) if orders[g] == p]
         g = rng.randrange(G.order)
-        images = [gens, [G.conj(g, x) for x in gens]]  # two automorphisms
-        images += [[rng.choice(same_order[orders[x]]) for x in gens] for _ in range(4)]
-        for image in images:
-            pairs = list(zip(gens, image))
-            got = _close_with_map(G, G, pairs)
-            expected = _close_with_map_by_rows(rows, rows, pairs)
-            assert (got is None) == (expected is None), (G.origin, pairs)
+        images = [(S, T), (G.conj(g, S), G.conj(g, T)), (S, S), (T, S)]
+        images += [(rng.choice(fours), rng.choice(ps)) for _ in range(12)]
+        images += [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(4)]
+        for s, t in images:
+            got = _sl2_images(G, p, s, t)
+            expected = _close_with_map_by_rows(rows, rows, [(S, s), (T, t)])
+            bijective = expected is not None and len(set(expected.values())) == G.order
+            assert (got is not None) == bijective, (G.origin, s, t)
             if got is not None:
-                assert list(got.items()) == list(expected.items()), (G.origin, pairs)
-        assert _close_with_map(G, G, list(zip(gens, gens))) == {x: x for x in range(G.order)}
+                assert [expected[x] for x in labels.tolist()] == got.tolist(), \
+                    (G.origin, s, t)
 
 
 def test_close_with_map_returns_none_on_a_conflict():

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.cli import survey210
 from freerep.errors import CapExceeded, DeadlineExceeded, NotAGroup
 from freerep.groups import (
@@ -23,7 +24,6 @@ from freerep.groups import (
     commutator_of_subgroup,
     count_nth_roots,
     full_subgroup,
-    is_isomorphic,
     normal_closure,
     normalizer,
     subgroup_generated,

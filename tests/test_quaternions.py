@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from isomorphism import is_isomorphic
 from freerep.errors import BadParams, NotQuaternionGroup, NotUnit
-from freerep.groups import is_isomorphic
 from freerep.constructors import cyclic, generalized_quaternion, sl2
 from so3 import order10_icosian, rotation_of
 from freerep.quaternions import (

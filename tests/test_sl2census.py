@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from sl2_theory import conjugacy_and_normals_check, normalizer_structure_check
+
 from freerep.sl2census import (
     census_partition_identity,
     census_report,
-    conjugacy_and_normals_check,
     cyclic_census,
     fermat_pq_witness,
     is_fermat_prime,
     maximal_cyclic_orders,
-    normalizer_structure_check,
     predicted_cyclic_count,
     sl2_group,
     trichotomy_check,
