@@ -13,8 +13,8 @@ import numpy as np
 
 from .cyclotomic import is_prime
 from .errors import BadParams, BadSize, CapExceeded, InvariantViolated
-from .groups import (ORDER_CAP, Group, commutator_subgroup, subgroup_generated,
-                     table_from_generators)
+from .groups import (ORDER_CAP, Group, commutator_subgroup, sl2_steps,
+                     subgroup_generated, table_from_generators)
 from .run import check_order
 
 
@@ -175,10 +175,9 @@ def sl2(p: int) -> Group:
 
     index_of = np.full(p**4, -1, dtype=np.int32)
     index_of[code(a, b, c, d)] = np.arange(order, dtype=np.int32)
-    # the left multiplications by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]],
-    # which generate SL2(F_p)
-    table = table_from_generators(index_of[np.stack([code(-c, -d, a, b),
-                                                     code(a + c, b + d, c, d)])])
+    # the left multiplications by S and T, which generate SL2(F_p)
+    table = table_from_generators(index_of[np.stack([code(*m)
+                                                     for m in sl2_steps(a, b, c, d, p)])])
     labels = [f"[[{w},{x}],[{y},{z}]]" for w, x, y, z in mats]
     G = Group(table, labels=labels, origin=f"SL2({p})")
     G.matrices = mats

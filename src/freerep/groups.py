@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -740,19 +740,24 @@ def quotient_group(G: Group, N: Subgroup) -> tuple:
 # -- SL2(F_p) recognition ------------------------------------------------------
 
 
+def sl2_steps(a, b, c, d, p: int) -> tuple:
+    """S * m and T * m mod p for m = [[a,b],[c,d]], S = [[0,-1],[1,0]] and
+    T = [[1,1],[0,1]], which generate SL2(F_p); entries are ints or arrays."""
+    return (-c % p, -d % p, a, b), ((a + c) % p, (b + d) % p, c, d)
+
+
 @lru_cache(maxsize=None)
 def _sl2_walk(p: int) -> tuple:
-    """SL2(F_p) walked breadth-first from I by left multiplication with
-    S = [[0,-1],[1,0]] and T = [[1,1],[0,1]], each product computed mod p
-    and numbered when first reached: (succ, parent, gen, bounds).  succ[j, k]
-    numbers g_j * m_k for (g_0, g_1) = (S, T); m_k = g_gen[k] * m_parent[k]
-    for k > 0; the matrices of level L are numbered bounds[L]..bounds[L+1]-1."""
+    """SL2(F_p) walked breadth-first from I by the two sl2_steps, each
+    product computed mod p and numbered when first reached: (succ, parent,
+    gen, bounds).  succ[j, k] numbers g_j * m_k for (g_0, g_1) = (S, T);
+    m_k = g_gen[k] * m_parent[k] for k > 0; the matrices of level L are
+    numbered bounds[L]..bounds[L+1]-1."""
     mats = [(1, 0, 0, 1)]
     number = {mats[0]: 0}
     succ, parent, gen, depth = [[], []], [0], [0], [0]
-    for k, (a, b, c, d) in enumerate(mats):  # mats grows as the walk goes
-        for j, m in enumerate(((-c % p, -d % p, a, b),
-                               ((a + c) % p, (b + d) % p, c, d))):
+    for k, m_k in enumerate(mats):  # mats grows as the walk goes
+        for j, m in enumerate(sl2_steps(*m_k, p)):
             if m not in number:
                 number[m] = len(mats)
                 mats.append(m)
@@ -783,34 +788,40 @@ def _sl2_images(G: Group, p: int, s: int, t: int) -> Optional[np.ndarray]:
     return phi if np.count_nonzero(hit) == phi.size else None
 
 
-def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
-    """An embedding phi of SL2(F_p) (p an odd prime) into G with S and T sent
-    into elements, as the images of the matrices in the order of _sl2_walk,
-    or None.  When elements is a subgroup of order p(p^2 - 1), None proves it
-    is not isomorphic to SL2(F_p).
+def sl2_embeddings(G: Group, elements: Sequence[int], p: int, *,
+                   every_t: bool = False) -> Iterator[np.ndarray]:
+    """The embeddings phi of SL2(F_p) (p an odd prime) into G with S and T
+    sent into elements, each as the images of the matrices in the order of
+    _sl2_walk: T goes to t, the first element of order p in elements (each
+    one in turn if every_t), and S to each element s of order 4 in turn.
+    Each candidate s stops at its first level with a conflicting edge.
 
-    T goes to t, the first element of order p in elements, and S is scanned
-    over the elements of order 4; each candidate s stops at its first level
-    with a conflicting edge.  Sound: phi(I) = 1 and phi(g * m) = phi(g) *
-    phi(m) for g in {S, T} and every m give, by induction on word length, a
-    homomorphism on <S, T> = SL2(F_p), an embedding when injective.
-    Complete: if psi is an isomorphism from SL2(F_p) onto elements, psi^-1(t)
-    has order p, so its only eigenvalue is 1 and, not being I, it is A T A^-1
-    for some A in GL2(F_p).  Conjugation by A is an automorphism of the
-    normal subgroup SL2(F_p), so m -> psi(A m A^-1) is an isomorphism sending
-    T to t and S to an element of order 4, which the scan reaches."""
+    Sound: phi(I) = 1 and phi(g * m) = phi(g) * phi(m) for g in {S, T} and
+    every m give, by induction on word length, a homomorphism on <S, T> =
+    SL2(F_p), an embedding when injective.  With every_t, every embedding
+    is yielded.  Without it, at least one is whenever elements is a
+    subgroup isomorphic to SL2(F_p): if psi is an isomorphism onto it,
+    psi^-1(t) has order p, so its only eigenvalue is 1 and, not being I, it
+    is A T A^-1 for some A in GL2(F_p).  Conjugation by A is an automorphism
+    of the normal subgroup SL2(F_p), so m -> psi(A m A^-1) is an isomorphism
+    sending T to t and S to an element of order 4, which the scan reaches."""
     if p == 2 or not is_prime(p):
         raise BadParams(f"{p} is not an odd prime")
     orders = G.element_orders()
-    t = next((g for g in elements if orders[g] == p), None)
-    if t is None:
-        return None
-    for s in elements:
-        if orders[s] == 4:
-            phi = _sl2_images(G, p, s, t)
-            if phi is not None:
-                return phi
-    return None
+    ts = [g for g in elements if orders[g] == p]
+    for t in ts if every_t else ts[:1]:
+        for s in elements:
+            if orders[s] == 4:
+                phi = _sl2_images(G, p, s, t)
+                if phi is not None:
+                    yield phi
+
+
+def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
+    """The first of sl2_embeddings(G, elements, p), or None.  When elements
+    is a subgroup of order p(p^2 - 1), None proves it is not isomorphic to
+    SL2(F_p)."""
+    return next(sl2_embeddings(G, elements, p), None)
 
 
 # -- Frobenius counting --------------------------------------------------------

@@ -35,6 +35,8 @@ from .groups import (
     cyclic_subgroups,
     embed_sl2,
     left_cosets,
+    mulclose,
+    sl2_embeddings,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -526,8 +528,7 @@ def build_free_representation(G: Group) -> Optional[Representation]:
 
 def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
     """G = O(G) x H with H iso 2T (order prime to 9): tensor the odd part
-    with the quaternion model of 2T pulled back along H -> SL2(F_3) -> model,
-    the two embeddings found by the walk of groups.embed_sl2."""
+    with the quaternion model of 2T pulled back along _to_hurwitz_model."""
     from .constructors import direct_product
     from .quaternions import finite_quaternion_group, \
         hurwitz_tetrahedral_generators
@@ -556,11 +557,32 @@ def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
     if rep_o is None:
         raise InvariantViolated(f"{OG.origin}: odd core has no representation")
     model = finite_quaternion_group(hurwitz_tetrahedral_generators())
-    into_h = embed_sl2(HG, HG.elements(), 3)
-    into_model = embed_sl2(model, model.elements(), 3)
-    if into_h is None or into_model is None:
-        raise InvariantViolated(f"{G.origin}: order-24 subgroup is not 2T")
-    to_model = np.empty(24, dtype=np.int64)
-    to_model[into_h] = into_model  # each matrix's image in H -> its image in the model
-    rep_h = transport(quaternion_embedding_rep(model), Homomorphism(HG, model, to_model))
+    rep_h = transport(quaternion_embedding_rep(model), _to_hurwitz_model(HG, model))
     return transport(tensor_product_rep(rep_o, rep_h, product=product), iso)
+
+
+def _to_hurwitz_model(H: Group, model: Group) -> Homomorphism:
+    """An isomorphism H -> model of two copies of 2T: SL2(F_3) walked into H
+    once and into the model along every (T, S) pair gives every isomorphism,
+    and the one kept sends x, the first element of H of order 6, and y, the
+    first of order 6 outside <x> (together they generate 2T), to the
+    earliest pair of model elements of order 6 in conjugacy class order.
+    That rule fixes the witnesses printed by `represent --json`."""
+    into_h = embed_sl2(H, H.elements(), 3)
+    if into_h is None:
+        raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
+    orders, model_orders = H.element_orders(), model.element_orders()
+    x = orders.index(6)
+    powers = mulclose(H, [x])
+    y = next(g for g in H.elements() if orders[g] == 6 and g not in powers)
+    rank = {h: i for i, h in enumerate(h for cls in model.conjugacy_classes()
+                                       for h in cls if model_orders[h] == 6)}
+    matrix_of = np.argsort(into_h)  # the matrix each element of H is
+    into_model = min(sl2_embeddings(model, model.elements(), 3, every_t=True),
+                     key=lambda phi: (rank[phi[matrix_of[x]]], rank[phi[matrix_of[y]]]),
+                     default=None)
+    if into_model is None:
+        raise InvariantViolated(f"{model.origin}: the Hurwitz units are not 2T")
+    to_model = np.empty(H.order, dtype=np.int64)
+    to_model[into_h] = into_model  # each matrix's image in H -> its image in the model
+    return Homomorphism(H, model, to_model)

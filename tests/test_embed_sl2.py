@@ -17,14 +17,18 @@ from freerep.classify import is_freely_representable
 from freerep.cli import parse_group_spec
 from freerep.constructors import cyclic, direct_product, sl2
 from freerep.errors import BadParams
-from freerep.groups import Homomorphism, _sl2_images, embed_sl2, perfect_core
-from freerep.quaternions import binary_icosahedral_generators, finite_quaternion_group
+from freerep.groups import (Homomorphism, _sl2_images, embed_sl2, perfect_core,
+                            sl2_embeddings, sl2_steps, subgroup_generated,
+                            sylow_subgroup)
+from freerep.quaternions import (binary_icosahedral_generators, finite_quaternion_group,
+                                 hurwitz_tetrahedral_generators)
+from freerep.represent import _to_hurwitz_model
 
 
 def _matrix_labels(p):
     """SL2(F_p) and the element of it that each matrix of the walk is."""
     M = sl2(p)
-    S, T = M.matrices.index((0, p - 1, 1, 0)), M.matrices.index((1, 1, 0, 1))
+    S, T = (M.matrices.index(m) for m in sl2_steps(1, 0, 0, 1, p))
     return M, _sl2_images(M, p, S, T)
 
 
@@ -99,3 +103,22 @@ def test_sl2_17_is_recognised_without_a_second_table():
     assert verdict.criterion == "embedded_sl2_fermat"
     assert verdict.fermat_prime == 17
     assert peak < 0.5 * G.table.nbytes, peak / G.table.nbytes
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_t_yields_every_embedding(p):
+    # |Aut(SL2(F_p))| = |PGL2(F_p)| = p(p^2 - 1) isomorphisms onto SL2(F_p)
+    G = sl2(p)
+    found = {tuple(phi.tolist()) for phi in sl2_embeddings(G, G.elements(), p, every_t=True)}
+    assert len(found) == (p - 1) * p * (p + 1)
+
+
+@pytest.mark.parametrize("spec", ["2T", "prod(C5,SL2(3))", "prod(C11,2T)", "prod(C7,2T)"])
+def test_hurwitz_map_is_the_one_the_search_returns(spec):
+    # represent --json prints images pulled back along this map, so it must
+    # stay the isomorphism the backtracking search finds first
+    G = parse_group_spec(spec).build()
+    factor = [g for P in (sylow_subgroup(G, 2), sylow_subgroup(G, 3)) for g in P.elements]
+    H = subgroup_generated(G, factor).as_group()
+    model = finite_quaternion_group(hurwitz_tetrahedral_generators())
+    assert _to_hurwitz_model(H, model).map == is_isomorphic(H, model).map, spec

@@ -82,6 +82,7 @@ from freerep.groups import (
     normal_closure,
     normalizer,
     quotient_group,
+    sl2_steps,
     subgroup_generated,
     sylow_subgroup,
     trivial_subgroup,
@@ -607,7 +608,7 @@ def test_close_with_map_matches_the_row_loop():
     for p in (3, 5, 7, 11):
         G = sl2(p)
         rows = G.table.tolist()
-        S, T = G.matrices.index((0, p - 1, 1, 0)), G.matrices.index((1, 1, 0, 1))
+        S, T = (G.matrices.index(m) for m in sl2_steps(1, 0, 0, 1, p))
         labels = _sl2_images(G, p, S, T)  # matrix k of the walk is G element labels[k]
         assert sorted(labels.tolist()) == list(range(G.order)), G.origin
         rng = random.Random(G.order)

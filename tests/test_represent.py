@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isomorphism import generating_sequence
 from freerep import represent
 from freerep.cli import main
 from freerep.errors import (
@@ -360,7 +359,7 @@ def test_validate_catches_wrong_image_off_the_generators():
     for G in (generalized_quaternion(16),
               direct_product(cyclic(5), generalized_quaternion(8))):
         rep = build_free_representation(G)
-        gens = generating_sequence(G)
+        gens = G.generators()
         others = [g for g in range(1, G.order) if g not in gens]
         for g in (others[0], others[-1]):
             with pytest.raises(NotAGroup, match="not multiplicative"):
@@ -495,11 +494,7 @@ def test_multiplicative_on_all_pairs_entry_by_entry():
 
 
 # sha256 of `freerep [--json] represent <spec>` stdout, recorded while the
-# representation layer still computed with Fraction-based CyclotomicNumbers.
-# The JSON of 2T, prod(C5,SL2(3)) and prod(C11,2T) was re-recorded when the
-# 2T factor's isomorphism onto the Hurwitz model came from two SL2(F_3)
-# walks instead of a backtracking search: another isomorphism, so the images
-# differ by an automorphism of 2T, and the text lines are unchanged.
+# representation layer still computed with Fraction-based CyclotomicNumbers
 REPRESENT_STDOUT_SHA256 = {
     ("sd(7,9,2)", "json"):
         "1ae3c0f9fd581c0d0e3e3fafbfc1fa13c6eb91d7ddde106e02da7824b74997c9",
@@ -510,7 +505,7 @@ REPRESENT_STDOUT_SHA256 = {
     ("2O", "text"):
         "ffd1bab27794ddf2168adeabed87fbf55a153726826fb62ab643cb03cb51f8dd",
     ("2T", "json"):
-        "991fcd87b9b0da7efca20949df86cdf8588f7f5fa4508cbb6cd749ea32f6b9d3",
+        "8c87da8db2b2445afd849c4bbecc534404aaf037ee108048bfca9ea5d81b41ae",
     ("2T", "text"):
         "9d8fb2ca606a7a9ef0489bdc6578ae06e464e65b5d8d8280bae835f2f87b2990",
     ("Q16", "json"):
@@ -546,7 +541,7 @@ REPRESENT_STDOUT_SHA256 = {
     ("2D25", "text"):
         "5c58ff61908b6fad1911768ec11abe5171c9362a2d5ec973a429b2de440549ee",
     ("prod(C5,SL2(3))", "json"):
-        "119979303fb101c8e4938748a1df75ef8eebc8963a841cb8ba97e2be5e1bc7ee",
+        "68ad323b0b8435fd96b91452ae051c197cfec8c5c1b3014c24a2f55b347692d0",
     ("prod(C5,SL2(3))", "text"):
         "8aee3cf717e08f269cafee22eacbe5d7eac19110ab1299fdffe7e39aa2f1cba6",
     ("prod(C7,SL2(5))", "json"):
@@ -554,7 +549,7 @@ REPRESENT_STDOUT_SHA256 = {
     ("prod(C7,SL2(5))", "text"):
         "53edd4e4b39599e8702aa164f1e7d3dfe8ffa0c83d4b30f04022afc661d151d1",
     ("prod(C11,2T)", "json"):
-        "055f0b02b42c3b868573e380e858fd6b9a856cf7d8a3d6cd21bd887bf4335106",
+        "a2cc08d3dd9d6f88a4e45c7407729ad4e23fe53c1d7b7a6af8d2fecdc9ba0a87",
     ("prod(C11,2T)", "text"):
         "14f8b1722b10e12f38e1e8e12abae166d0046d6e742ffdb3cb539d061284ee87",
     ("sd(7,27,2)", "json"):
@@ -607,7 +602,7 @@ def test_python_int_fallback_matches_int64(monkeypatch):
         assert big.images.num.dtype == object
         assert verify_free(big) == verify_free(rep)
         assert big.to_json() == rep.to_json()
-        gens = generating_sequence(rep.group)
+        gens = rep.group.generators()
         g = next(x for x in range(rep.group.order - 1, 0, -1) if x not in gens)
         for r in (rep, big):
             with pytest.raises(NotAGroup, match="not multiplicative"):
