@@ -15,7 +15,6 @@ from .groups import (
     build_group,
     count_nth_roots,
     quotient_group,
-    structure_ops,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "build_group",
     "count_nth_roots",
     "quotient_group",
-    "structure_ops",
     "subgroup_generated",
     "sylow_subgroup",
     "SemidirectParams",

@@ -36,6 +36,23 @@ from .sl2census import census_report
 # Case-insensitive.  Quaternion literals: q(w,x,y,z) with components
 # a, a/b, a/b*r2, a/b*r5 (r2 = sqrt 2, r5 = sqrt 5).
 
+# kind -> (keyword, integer arguments, canonical format, constructor,
+# its leading arguments).  A keyword ending in "(" takes its integers in
+# parentheses.  The parser tries the kinds in this order, after prod and quat.
+# The constructor is looked up on freerep.constructors when a spec is built,
+# so a function rebound there is the one called.
+_ATOMS = {
+    "sd": ("sd(", 3, "sd({},{},{})", "sd", ()),
+    "SL2": ("sl2(", 1, "SL2({})", "sl2", ()),
+    "2T": ("2t", 0, "2T", "binary_polyhedral", ("2T",)),
+    "2O": ("2o", 0, "2O", "binary_polyhedral", ("2O",)),
+    "2I": ("2i", 0, "2I", "binary_polyhedral", ("2I",)),
+    "2D": ("2d", 1, "2D{}", "binary_polyhedral", ("2D",)),
+    "C": ("c", 1, "C{}", "cyclic", ()),
+    "D": ("d", 1, "D{}", "dihedral", ()),
+    "Q": ("q", 1, "Q{}", "generalized_quaternion", ()),
+}
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -46,14 +63,8 @@ class GroupSpec:
     def canonical(self) -> str:
         if self.kind == "prod":
             return f"prod({self.children[0].canonical()},{self.children[1].canonical()})"
-        if self.kind == "sd":
-            return "sd({},{},{})".format(*self.params)
-        if self.kind in ("C", "D", "Q", "2D"):
-            return f"{self.kind}{self.params[0]}"
-        if self.kind == "SL2":
-            return f"SL2({self.params[0]})"
-        if self.kind in ("2T", "2O", "2I"):
-            return self.kind
+        if self.kind in _ATOMS:
+            return _ATOMS[self.kind][2].format(*self.params)
         if self.kind == "quat":
             return "quat({})".format(",".join(_quat_literal(q)
                                               for q in self.params))
@@ -65,20 +76,9 @@ class GroupSpec:
         if self.kind == "prod":
             return cons.direct_product(self.children[0].build(),
                                        self.children[1].build())
-        if self.kind == "sd":
-            return cons.sd(*self.params)
-        if self.kind == "C":
-            return cons.cyclic(self.params[0])
-        if self.kind == "D":
-            return cons.dihedral(self.params[0])
-        if self.kind == "Q":
-            return cons.generalized_quaternion(self.params[0])
-        if self.kind == "SL2":
-            return cons.sl2(self.params[0])
-        if self.kind in ("2T", "2O", "2I"):
-            return cons.binary_polyhedral(self.kind)
-        if self.kind == "2D":
-            return cons.binary_polyhedral("2D", self.params[0])
+        if self.kind in _ATOMS:
+            _, _, _, constructor, leading = _ATOMS[self.kind]
+            return getattr(cons, constructor)(*leading, *self.params)
         if self.kind == "quat":
             from .quaternions import finite_quaternion_group
 
@@ -151,20 +151,6 @@ class _Parser:
             b = self.spec()
             self.expect(")")
             return GroupSpec("prod", children=(a, b))
-        if rest.startswith("sd("):
-            self.pos += 3
-            m = self.integer()
-            self.expect(",")
-            n = self.integer()
-            self.expect(",")
-            r = self.integer()
-            self.expect(")")
-            return GroupSpec("sd", params=(m, n, r))
-        if rest.startswith("sl2("):
-            self.pos += 4
-            p = self.integer()
-            self.expect(")")
-            return GroupSpec("SL2", params=(p,))
         if rest.startswith("quat("):
             self.pos += 5
             quats = [self.quaternion()]
@@ -175,25 +161,19 @@ class _Parser:
                 self.skip_ws()
             self.expect(")")
             return GroupSpec("quat", params=tuple(quats))
-        if rest.startswith("2t"):
-            self.pos += 2
-            return GroupSpec("2T")
-        if rest.startswith("2o"):
-            self.pos += 2
-            return GroupSpec("2O")
-        if rest.startswith("2i"):
-            self.pos += 2
-            return GroupSpec("2I")
-        if rest.startswith("2d"):
-            self.pos += 2
-            return GroupSpec("2D", params=(self.integer(),))
-        head = self.peek().lower()
-        if head in ("c", "d", "q"):
-            self.pos += 1
-            n = self.integer()
-            if head == "q" and (n < 8 or n & (n - 1)):
-                raise self.error("Q requires a power of 2 that is >= 8")
-            return GroupSpec(head.upper(), params=(n,))
+        for kind, (keyword, arity, *_) in _ATOMS.items():
+            if rest.startswith(keyword):
+                self.pos += len(keyword)
+                params = []
+                for i in range(arity):
+                    if i:
+                        self.expect(",")
+                    params.append(self.integer())
+                if keyword.endswith("("):
+                    self.expect(")")
+                if kind == "Q" and (params[0] < 8 or params[0] & (params[0] - 1)):
+                    raise self.error("Q requires a power of 2 that is >= 8")
+                return GroupSpec(kind, params=tuple(params))
         raise self.error("expected a group spec")
 
     def quaternion(self):
@@ -476,8 +456,9 @@ def main(argv=None) -> int:
             else:
                 text = cmd_survey210(args.json)
     except FreerepError as exc:
+        given = getattr(args, "spec", getattr(args, "p", args.command))
         print(json.dumps({"kind": type(exc).__name__, "detail": str(exc),
-                          "offending_input": getattr(args, "spec", args.command)}),
+                          "offending_input": str(given)}),
               file=sys.stderr)
         return 2 if isinstance(exc, (CapExceeded, DeadlineExceeded)) else 1
     try:

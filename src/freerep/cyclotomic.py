@@ -225,11 +225,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_rational(self):
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
-
     def lift(self, m: int) -> "CyclotomicNumber":
         """Image under Q(zeta_n) -> Q(zeta_m) via zeta_n = zeta_m^(m/n)."""
         n = self.conductor

@@ -7,7 +7,6 @@ are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -609,30 +608,6 @@ def normal_subgroups(G: Group) -> list:
     return [H for H in all_subgroups(G) if H.is_normal()]
 
 
-@dataclass
-class StructureReport:
-    center: Subgroup
-    commutator_subgroup: Subgroup
-    derived_series: list
-    conjugacy_classes: list
-    normal_subgroups: list
-    is_solvable: bool
-    is_perfect: bool
-
-
-def structure_ops(G: Group) -> StructureReport:
-    series = derived_series(G)
-    return StructureReport(
-        center=center(G),
-        commutator_subgroup=commutator_subgroup(G),
-        derived_series=series,
-        conjugacy_classes=G.conjugacy_classes(),
-        normal_subgroups=normal_subgroups(G),
-        is_solvable=len(series[-1]) == 1,
-        is_perfect=len(commutator_subgroup(G)) == G.order,
-    )
-
-
 # -- Sylow theory ------------------------------------------------------------
 
 
@@ -712,14 +687,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return (self.source.order == self.target.order
                 and len(set(self.map)) == self.source.order)
-
-    def inverse_map(self) -> "Homomorphism":
-        if not self.is_bijective():
-            raise NotAGroup("homomorphism is not bijective")
-        inv = [0] * self.target.order
-        for g, h in enumerate(self.map):
-            inv[h] = g
-        return Homomorphism(self.target, self.source, inv, validate=False)
 
 
 def quotient_group(G: Group, N: Subgroup) -> tuple:

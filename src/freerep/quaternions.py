@@ -162,10 +162,6 @@ class Quaternion:
         c = self.conj()
         return Quaternion(c.w * inv, c.x * inv, c.y * inv, c.z * inv)
 
-    def is_one(self) -> bool:
-        return (self.w.a == 1 and self.w.b == 0
-                and self.x.is_zero() and self.y.is_zero() and self.z.is_zero())
-
     def __str__(self):
         parts = []
         for coeff, sym in ((self.w, ""), (self.x, "i"), (self.y, "j"), (self.z, "k")):
@@ -274,21 +270,6 @@ def binary_icosahedral_generators() -> list:
         quat(half, half, half, half, d=5),
         Quaternion(QuadFieldElement.of(0, 5), tau * half, tau_inv * half, half),
     ]
-
-
-def binary_dihedral_generators(n: int) -> list:
-    """<zeta_2n in span(1,i), j> for the n with exact 2n-th roots of unity.
-
-    Only n = 2 (Q) and n = 4 (Q(sqrt 2)) fit inside the supported scalar
-    fields; other binary dihedral groups are built by presentation instead.
-    """
-    if n == 2:
-        return [I, J]
-    if n == 4:
-        s = QuadFieldElement.of(0, 2, Fraction(1, 2))
-        return [quat(s, s, 0, 0, d=2), J]
-    raise BadParams(f"zeta_{2 * n} is not exactly representable over Q, "
-                    "Q(sqrt 2), or Q(sqrt 5)")
 
 
 # -- classification of the SO(3) image ----------------------------------------

@@ -18,10 +18,10 @@ from freerep.constructors import (
 from freerep.quaternions import (
     I,
     J,
-    binary_dihedral_generators,
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
 )
+from so3 import binary_dihedral_generators
 
 
 def _orders_within(groups, low, high):

@@ -5,13 +5,15 @@ groups up to isomorphism.
 generating_sequence greedily picks a short generating sequence of G, and
 is_isomorphic tries every assignment of its elements to elements of H of
 the same order and class size, extending each partial one multiplicatively
-with _close_with_map until it conflicts or covers G.
+with _close_with_map until it conflicts or covers G.  inverse_map inverts
+a bijective witness.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from freerep.errors import NotAGroup
 from freerep.groups import Group, Homomorphism, mulclose
 from freerep.run import check_deadline
 
@@ -110,3 +112,12 @@ def is_isomorphic(G: Group, H: Group) -> Optional[Homomorphism]:
         return None
     index_map = [m[g] for g in range(G.order)]
     return Homomorphism(G, H, index_map)
+
+
+def inverse_map(phi: Homomorphism) -> Homomorphism:
+    if not phi.is_bijective():
+        raise NotAGroup("homomorphism is not bijective")
+    inv = [0] * phi.target.order
+    for g, h in enumerate(phi.map):
+        inv[h] = g
+    return Homomorphism(phi.target, phi.source, inv, validate=False)

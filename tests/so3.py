@@ -1,14 +1,15 @@
 """The double cover of the unit quaternions onto SO(3), as exact rotation
-matrices, and a unit icosian of order 10: the tests check the classification
-of finite quaternion groups against them."""
+matrices, a unit icosian of order 10 and the binary dihedral generators
+with exact roots of unity: the tests check the classification of finite
+quaternion groups against them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from freerep.errors import InvariantViolated, NotUnit
-from freerep.quaternions import I, J, K, QuadFieldElement, Quaternion, _coerce
+from freerep.errors import BadParams, InvariantViolated, NotUnit
+from freerep.quaternions import I, J, K, QuadFieldElement, Quaternion, _coerce, quat
 
 
 @dataclass(frozen=True)
@@ -73,3 +74,23 @@ def order10_icosian() -> Quaternion:
     tau_inv = QuadFieldElement.of(-h, 5, Fraction(1, 2))
     half = QuadFieldElement.of(h, 5)
     return Quaternion(tau * half, half, tau_inv * half, QuadFieldElement.of(0, 5))
+
+
+def is_one(q: Quaternion) -> bool:
+    return (q.w.a == 1 and q.w.b == 0
+            and q.x.is_zero() and q.y.is_zero() and q.z.is_zero())
+
+
+def binary_dihedral_generators(n: int) -> list:
+    """<zeta_2n in span(1,i), j> for the n with exact 2n-th roots of unity.
+
+    Only n = 2 (Q) and n = 4 (Q(sqrt 2)) fit inside the supported scalar
+    fields; other binary dihedral groups are built by presentation instead.
+    """
+    if n == 2:
+        return [I, J]
+    if n == 4:
+        s = QuadFieldElement.of(0, 2, Fraction(1, 2))
+        return [quat(s, s, 0, 0, d=2), J]
+    raise BadParams(f"zeta_{2 * n} is not exactly representable over Q, "
+                    "Q(sqrt 2), or Q(sqrt 5)")

@@ -46,11 +46,7 @@ from freerep.normrel import (
     find_norm_relation,
 )
 from freerep.represent import build_free_representation, verify_free
-from freerep.sl2census import (
-    cyclic_census,
-    fermat_pq_witness,
-    sl2_group,
-)
+from freerep.sl2census import cyclic_census, sl2_group
 
 from corpus import (
     norm_relation_corpus,
@@ -59,6 +55,7 @@ from corpus import (
     structural_corpus,
     two_group_corpus,
 )
+from sl2_theory import fermat_pq_witness
 
 
 def _ok(criterion: str, detail: str) -> None:

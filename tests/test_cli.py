@@ -55,8 +55,8 @@ def test_parse_quat_sqrt2():
 
 
 def test_parse_roundtrip_canonical():
-    for text in ("C12", "D6", "Q16", "SL2(5)", "2T", "2O", "2D7",
-                 "sd(7,9,2)", "prod(C5,Q8)",
+    for text in ("C12", "D6", "Q16", "SL2(5)", "2T", "2O", "2I", "2D7",
+                 "sd(7,9,2)", "prod(C5,Q8)", "Prod(c5, sL2(3))",
                  "quat(q(0,1,0,0),q(0,0,1,0))"):
         spec = parse_group_spec(text)
         assert parse_group_spec(spec.canonical()) == spec
@@ -124,6 +124,13 @@ def test_parse_error_exit_code(capsys):
     data = json.loads(err)
     assert data["kind"] == "ParseError"
     assert data["offending_input"] == "nonsense!!"
+
+
+def test_census_error_names_its_argument(capsys):
+    assert main(["--json", "census", "2"]) == 1
+    data = json.loads(capsys.readouterr().err)
+    assert data["kind"] == "BadParams"
+    assert data["offending_input"] == "2"
 
 
 def test_cap_error_exit_code(capsys):

