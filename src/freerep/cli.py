@@ -86,20 +86,8 @@ class GroupSpec:
         raise ParseError(f"unknown spec kind {self.kind}", 0)
 
 
-def _quat_component(c) -> str:
-    parts = []
-    if c.a:
-        parts.append(str(c.a))
-    if c.b:
-        parts.append(f"{c.b}*r{c.d}")
-    if not parts:
-        return "0"
-    return "+".join(parts)
-
-
 def _quat_literal(q) -> str:
-    return "q({},{},{},{})".format(*(_quat_component(c)
-                                     for c in (q.w, q.x, q.y, q.z)))
+    return "q({},{},{},{})".format(q.w, q.x, q.y, q.z)
 
 
 class _Parser:

@@ -18,14 +18,14 @@ from .groups import (ORDER_CAP, Group, commutator_subgroup, sl2_steps,
 from .run import check_order
 
 
-def cyclic(n: int, *, origin: str | None = None) -> Group:
+def cyclic(n: int) -> Group:
     if n < 1:
         raise BadParams("cyclic order must be >= 1")
     check_order(n, ORDER_CAP, "cyclic")
     idx = np.arange(n, dtype=np.int32)
     table = (idx[:, None] + idx[None, :]) % n
     labels = ["e"] + [f"g^{i}" if i > 1 else "g" for i in range(1, n)]
-    return Group(table, labels=labels, origin=origin or f"C{n}")
+    return Group(table, labels=labels, origin=f"C{n}")
 
 
 def _presentation_table(m: int, n: int, r: int, s: int, strides: tuple) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -755,40 +755,34 @@ def _sl2_images(G: Group, p: int, s: int, t: int) -> Optional[np.ndarray]:
     return phi if np.count_nonzero(hit) == phi.size else None
 
 
-def sl2_embeddings(G: Group, elements: Sequence[int], p: int, *,
-                   every_t: bool = False) -> Iterator[np.ndarray]:
-    """The embeddings phi of SL2(F_p) (p an odd prime) into G with S and T
-    sent into elements, each as the images of the matrices in the order of
-    _sl2_walk: T goes to t, the first element of order p in elements (each
-    one in turn if every_t), and S to each element s of order 4 in turn.
-    Each candidate s stops at its first level with a conflicting edge.
+def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
+    """An embedding phi of SL2(F_p) (p an odd prime) into G with S and T sent
+    into elements, as the images of the matrices in the order of _sl2_walk,
+    or None: T goes to t, the first element of order p in elements, and S to
+    each element s of order 4 in turn, until the first embedding.  Each
+    candidate s stops at its first level with a conflicting edge.
 
     Sound: phi(I) = 1 and phi(g * m) = phi(g) * phi(m) for g in {S, T} and
     every m give, by induction on word length, a homomorphism on <S, T> =
-    SL2(F_p), an embedding when injective.  With every_t, every embedding
-    is yielded.  Without it, at least one is whenever elements is a
-    subgroup isomorphic to SL2(F_p): if psi is an isomorphism onto it,
-    psi^-1(t) has order p, so its only eigenvalue is 1 and, not being I, it
-    is A T A^-1 for some A in GL2(F_p).  Conjugation by A is an automorphism
-    of the normal subgroup SL2(F_p), so m -> psi(A m A^-1) is an isomorphism
-    sending T to t and S to an element of order 4, which the scan reaches."""
+    SL2(F_p), an embedding when injective.  Complete: one is found whenever
+    elements is a subgroup isomorphic to SL2(F_p), so None then proves it is
+    not.  If psi is an isomorphism onto it, psi^-1(t) has order p, so its
+    only eigenvalue is 1 and, not being I, it is A T A^-1 for some A in
+    GL2(F_p).  Conjugation by A is an automorphism of the normal subgroup
+    SL2(F_p), so m -> psi(A m A^-1) is an isomorphism sending T to t and S
+    to an element of order 4, which the scan reaches."""
     if p == 2 or not is_prime(p):
         raise BadParams(f"{p} is not an odd prime")
     orders = G.element_orders()
-    ts = [g for g in elements if orders[g] == p]
-    for t in ts if every_t else ts[:1]:
-        for s in elements:
-            if orders[s] == 4:
-                phi = _sl2_images(G, p, s, t)
-                if phi is not None:
-                    yield phi
-
-
-def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
-    """The first of sl2_embeddings(G, elements, p), or None.  When elements
-    is a subgroup of order p(p^2 - 1), None proves it is not isomorphic to
-    SL2(F_p)."""
-    return next(sl2_embeddings(G, elements, p), None)
+    t = next((g for g in elements if orders[g] == p), None)
+    if t is None:
+        return None
+    for s in elements:
+        if orders[s] == 4:
+            phi = _sl2_images(G, p, s, t)
+            if phi is not None:
+                return phi
+    return None
 
 
 # -- Frobenius counting --------------------------------------------------------

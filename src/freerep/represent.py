@@ -33,10 +33,8 @@ from .groups import (
     Homomorphism,
     Subgroup,
     cyclic_subgroups,
-    embed_sl2,
     left_cosets,
     mulclose,
-    sl2_embeddings,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -423,6 +421,23 @@ def _entry_products(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(x.shape + y.shape[:-1])
 
 
+def _kronecker(a: RepMatrix, b: RepMatrix) -> RepMatrix:
+    """The stack of a[x] (x) b[y] at index x * len(b) + y, over Q(zeta_n) for
+    n the lcm of the two conductors."""
+    n = lcm(a.conductor, b.conductor)
+    num_a, num_b = _lift(a, n), _lift(b, n)
+    # entry (i1 db + i2, j1 db + j2) of the product at x nb + y is
+    # a[x,i1,j1] * b[y,i2,j2]; the multiplication blocks are built for the
+    # stack with fewer entries
+    if num_a.size <= num_b.size:
+        out = _entry_products(num_a, num_b, n).transpose(0, 4, 1, 5, 2, 6, 3)
+    else:
+        out = _entry_products(num_b, num_a, n).transpose(4, 0, 5, 1, 6, 2, 3)
+    degree = a.degree * b.degree
+    num = out.reshape(len(a) * len(b), degree, degree, -1)
+    return RepMatrix(n, num, a.den * b.den)
+
+
 def tensor_product_rep(rep_a: Representation, rep_b: Representation,
                        product: Optional[Group] = None) -> Representation:
     """Kronecker-product representation of A x B for coprime |A|, |B|."""
@@ -436,34 +451,13 @@ def tensor_product_rep(rep_a: Representation, rep_b: Representation,
     if product.factors is None or product.factors[0] is not A \
             or product.factors[1] is not B:
         raise NotAGroup("tensor target must be the direct product of A and B")
-    n = lcm(rep_a.conductor, rep_b.conductor)
-    a, b = _lift(rep_a.images, n), _lift(rep_b.images, n)
-    # entry (i1 db + i2, j1 db + j2) of rho(x nb + y) is a[x,i1,j1] * b[y,i2,j2];
-    # the multiplication blocks are built for the factor with fewer entries
-    if a.size <= b.size:
-        out = _entry_products(a, b, n).transpose(0, 4, 1, 5, 2, 6, 3)
-    else:
-        out = _entry_products(b, a, n).transpose(4, 0, 5, 1, 6, 2, 3)
-    degree = rep_a.degree * rep_b.degree
-    num = out.reshape(product.order, degree, degree, -1)
-    images = RepMatrix(n, num, rep_a.images.den * rep_b.images.den)
-    rep = Representation(product, degree, n, images)
+    images = _kronecker(rep_a.images, rep_b.images)
+    rep = Representation(product, images.degree, images.conductor, images)
     rep.validate()
     return rep
 
 
 # -- helpers -----------------------------------------------------------------------
-
-
-def transport(rep: Representation, iso: Homomorphism) -> Representation:
-    """Representation of iso.source pulled back along an isomorphism onto
-    rep.group."""
-    if iso.target is not rep.group or not iso.is_bijective():
-        raise NotAGroup("transport needs an isomorphism onto the rep's group")
-    out = Representation(iso.source, rep.degree, rep.conductor,
-                         rep.images[iso.map])
-    out.validate()
-    return out
 
 
 def restrict(rep: Representation, H: Subgroup) -> Representation:
@@ -485,9 +479,10 @@ def prime_order_hull(G: Group) -> Subgroup:
 
 def build_free_representation(G: Group) -> Optional[Representation]:
     """Dispatch on the group's shape; any returned representation passes
-    verify_free.  Returns None for shapes without a constructive route
-    (binary tetrahedral type with 9 | |G|; binary octahedral type without
-    quaternion labels)."""
+    verify_free.  Returns None for shapes without a constructive route:
+    non-solvable groups (2I, SL2(5), prod(C7,SL2(5))), the binary
+    tetrahedral type with 9 | |G|, and the binary octahedral type without
+    quaternion labels."""
     from .classify import (
         BINARY_TETRAHEDRAL_TYPE,
         QUATERNION_TYPE,
@@ -527,62 +522,68 @@ def build_free_representation(G: Group) -> Optional[Representation]:
 
 
 def _binary_tetrahedral_rep(G: Group, core: Subgroup) -> Representation:
-    """G = O(G) x H with H iso 2T (order prime to 9): tensor the odd part
-    with the quaternion model of 2T pulled back along _to_hurwitz_model."""
-    from .constructors import direct_product
+    """G = O(G) x H with H iso 2T (order prime to 9): rho(o*h) is rho_O(o)
+    tensored with the quaternion model of 2T at the image of h under
+    _to_hurwitz_model."""
     from .quaternions import finite_quaternion_group, \
         hurwitz_tetrahedral_generators
 
     Q8 = sylow_subgroup(G, 2)
     C3 = sylow_subgroup(G, 3)
     H = subgroup_generated(G, list(Q8.elements) + list(C3.elements))
-    if (len(H) != 24 or core.elset & H.elset != {0}
-            or len(core) * 24 != G.order):
+    # where[o_i * h_j] = i * 24 + j: G must be the bijective image of O(G) x H
+    products = G.table[np.ix_(core.elements, H.elements)].ravel()
+    where = np.full(G.order, -1, dtype=np.int64)
+    where[products] = np.arange(products.size)
+    if len(H) != 24 or len(core) * 24 != G.order or (where < 0).any():
         raise InvariantViolated(
             f"{G.origin}: not the direct product of its odd core and a "
             "subgroup of order 24")
     OG = core.as_group()
-    HG = H.as_group()
-    product = direct_product(OG, HG)
-    # explicit isomorphism G -> O(G) x H from the unique factorization g = o*h
-    index_map = [0] * G.order
-    for io, o in enumerate(core.elements):
-        for ih, h in enumerate(H.elements):
-            index_map[G.mul(o, h)] = io * 24 + ih
-    iso = Homomorphism(G, product, index_map)
-    if not iso.is_bijective():
-        raise InvariantViolated(f"{G.origin}: g = o*h is not a bijection")
-
     rep_o = build_free_representation(OG)
     if rep_o is None:
         raise InvariantViolated(f"{OG.origin}: odd core has no representation")
     model = finite_quaternion_group(hurwitz_tetrahedral_generators())
-    rep_h = transport(quaternion_embedding_rep(model), _to_hurwitz_model(HG, model))
-    return transport(tensor_product_rep(rep_o, rep_h, product=product), iso)
+    to_model = _to_hurwitz_model(H.as_group(), model)
+    images_h = quaternion_embedding_rep(model).images[to_model.map]
+    images = _kronecker(rep_o.images, images_h)[where]
+    rep = Representation(G, images.degree, images.conductor, images)
+    rep.validate()
+    return rep
 
 
 def _to_hurwitz_model(H: Group, model: Group) -> Homomorphism:
-    """An isomorphism H -> model of two copies of 2T: SL2(F_3) walked into H
-    once and into the model along every (T, S) pair gives every isomorphism,
-    and the one kept sends x, the first element of H of order 6, and y, the
-    first of order 6 outside <x> (together they generate 2T), to the
-    earliest pair of model elements of order 6 in conjugacy class order.
+    """An isomorphism H -> model of two copies of 2T, fixed by the images of
+    x, the first element of H of order 6, and y, the first of order 6
+    outside <x> (together they generate 2T): the earliest pair of model
+    elements of order 6, in conjugacy class order, whose map carried along a
+    breadth-first tree of H over {x, y} is bijective and multiplicative.
     That rule fixes the witnesses printed by `represent --json`."""
-    into_h = embed_sl2(H, H.elements(), 3)
-    if into_h is None:
-        raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
     orders, model_orders = H.element_orders(), model.element_orders()
-    x = orders.index(6)
-    powers = mulclose(H, [x])
-    y = next(g for g in H.elements() if orders[g] == 6 and g not in powers)
-    rank = {h: i for i, h in enumerate(h for cls in model.conjugacy_classes()
-                                       for h in cls if model_orders[h] == 6)}
-    matrix_of = np.argsort(into_h)  # the matrix each element of H is
-    into_model = min(sl2_embeddings(model, model.elements(), 3, every_t=True),
-                     key=lambda phi: (rank[phi[matrix_of[x]]], rank[phi[matrix_of[y]]]),
-                     default=None)
-    if into_model is None:
-        raise InvariantViolated(f"{model.origin}: the Hurwitz units are not 2T")
-    to_model = np.empty(H.order, dtype=np.int64)
-    to_model[into_h] = into_model  # each matrix's image in H -> its image in the model
-    return Homomorphism(H, model, to_model)
+    sixes = [g for g in H.elements() if orders[g] == 6]
+    powers = mulclose(H, sixes[:1])
+    y = next((g for g in sixes if g not in powers), None)
+    if y is None:
+        raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
+    gens = (sixes[0], y)
+    # parent[k] = (h, i) with k = h * gens[i], h reached before k
+    reached, parent = [0], {0: None}
+    for h in reached:  # reached grows as the tree does
+        for i, g in enumerate(gens):
+            k = H.mul(h, g)
+            if k not in parent:
+                parent[k] = (h, i)
+                reached.append(k)
+    candidates = [h for cls in model.conjugacy_classes() for h in cls
+                  if model_orders[h] == 6]
+    for pair in ((a, b) for a in candidates for b in candidates):
+        phi = [0] * H.order
+        for k in reached[1:]:
+            h, i = parent[k]
+            phi[k] = model.mul(phi[h], pair[i])
+        if len(set(phi)) == H.order:
+            try:
+                return Homomorphism(H, model, phi)
+            except NotAGroup:
+                pass
+    raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")

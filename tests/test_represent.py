@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 from freerep import represent
-from freerep.cli import main
+from freerep.cli import main, parse_group_spec
 from freerep.errors import (
+    InvariantViolated,
     NotAGroup,
     NotCoprime,
     NotFaithful,
@@ -28,6 +29,7 @@ from freerep.groups import (
     Subgroup,
     all_subgroups,
     cyclic_subgroups,
+    full_subgroup,
     subgroup_generated,
 )
 from freerep.constructors import (
@@ -51,6 +53,7 @@ from freerep.quaternions import (
 from freerep.represent import (
     RepMatrix,
     Representation,
+    _to_hurwitz_model,
     build_free_representation,
     induced_representation,
     prime_order_hull,
@@ -351,6 +354,32 @@ def test_build_sl2_3_via_2t_model():
     assert rep is not None
     assert rep.degree == 2
     assert verify_free(rep).free
+
+
+@pytest.mark.parametrize("k", [5, 7, 11])
+def test_odd_core_branch_matches_the_product_route(k):
+    # the same table without factors reaches _binary_tetrahedral_rep with
+    # the odd core C_k, where the product goes through tensor_product_rep
+    product = direct_product(cyclic(k), sl2(3))
+    G = full_subgroup(product).as_group()
+    assert G.factors is None
+    rep, want = build_free_representation(G), build_free_representation(product)
+    assert rep.conductor == want.conductor
+    assert rep.images.den == want.images.den
+    assert np.array_equal(rep.images.num, want.images.num)
+    assert verify_free(rep).free
+
+
+@pytest.mark.parametrize("spec", [
+    "C24", "prod(Q8,C3)", "prod(C2,C12)", "D12", "2D6", "sd(3,8,2)"])
+def test_hurwitz_model_rejects_order_24_groups_that_are_not_2t(spec):
+    # 2D6 is the dicyclic group of order 24
+    H = parse_group_spec(spec).build()
+    assert H.order == 24
+    model = finite_quaternion_group(hurwitz_tetrahedral_generators())
+    with pytest.raises(InvariantViolated, match="not 2T"):
+        _to_hurwitz_model(H, model)
+    assert _to_hurwitz_model(sl2(3), model).is_bijective()
 
 
 def test_validate_catches_wrong_image_off_the_generators():
