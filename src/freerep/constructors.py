@@ -12,8 +12,8 @@ from math import gcd
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import BadParams, BadSize, CapExceeded, InvariantViolated
-from .groups import (ORDER_CAP, Group, commutator_subgroup, sl2_steps,
+from .errors import BadParams, BadSize, InvariantViolated
+from .groups import (ORDER_CAP, Group, commutator_subgroup, sl2_elements,
                      subgroup_generated, table_from_generators)
 from .run import check_order
 
@@ -151,37 +151,10 @@ def sl2(p: int) -> Group:
     """SL2(F_p): determinant-1 2x2 matrices over F_p; order (p-1)p(p+1)."""
     if not is_prime(p):
         raise BadParams(f"{p} is not prime")
-    order = (p - 1) * p * (p + 1)
-    check_order(order, ORDER_CAP, "sl2")
-    if p**4 >= 2**31:  # the int32 matrix codes below would wrap
-        raise CapExceeded(f"sl2: p = {p} is above the int32 table's range")
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                if a:
-                    mats.append((a, b, c, (1 + b * c) * pow(a, p - 2, p) % p))
-                elif b:
-                    mats.append((0, b, (p - pow(b, p - 2, p)) % p, c))
-    if len(mats) != order:
-        raise InvariantViolated(f"found {len(mats)} matrices in SL2(F_{p})")
-    # move the identity to position 0
-    eye = mats.index((1, 0, 0, 1))
-    mats[0], mats[eye] = mats[eye], mats[0]
-    a, b, c, d = np.array(mats, dtype=np.int32).T
-
-    def code(a, b, c, d):
-        return ((a % p * p + b % p) * p + c % p) * p + d % p
-
-    index_of = np.full(p**4, -1, dtype=np.int32)
-    index_of[code(a, b, c, d)] = np.arange(order, dtype=np.int32)
-    # the left multiplications by S and T, which generate SL2(F_p)
-    table = table_from_generators(index_of[np.stack([code(*m)
-                                                     for m in sl2_steps(a, b, c, d, p)])])
+    check_order((p - 1) * p * (p + 1), ORDER_CAP, "sl2")
+    mats, perms = sl2_elements(p)
     labels = [f"[[{w},{x}],[{y},{z}]]" for w, x, y, z in mats]
-    G = Group(table, labels=labels, origin=f"SL2({p})")
-    G.matrices = mats
-    return G
+    return Group(table_from_generators(perms), labels=labels, origin=f"SL2({p})")
 
 
 def binary_polyhedral(kind: str, n: int | None = None) -> Group:

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import is_prime
-from .errors import (BadParams, InvariantViolated, NotAGroup, NotConjugationClosed,
-                     NotNormal)
+from .errors import (BadParams, CapExceeded, InvariantViolated, NotAGroup,
+                     NotConjugationClosed, NotNormal)
 from .run import check_deadline, check_order
 
 # default caps on the group order, replaced by the run's cap when it has one
@@ -35,7 +35,6 @@ class Group:
         "origin",
         "factors",
         "quaternions",
-        "matrices",
         "_orders",
         "_classes",
         "_class_index",
@@ -66,7 +65,6 @@ class Group:
         self.origin = origin
         self.factors = None  # set by direct_product for tensor dispatch
         self.quaternions = None  # set by finite_quaternion_group
-        self.matrices = None  # set by sl2: per-element (a, b, c, d) mod p
         # caches, filled on first use
         self._orders = self._classes = self._class_index = None
         self._fingerprint = self._center = self._commutator = None
@@ -262,31 +260,49 @@ def _check_associative_at(table: np.ndarray, a: int) -> None:
             raise NotAGroup("associativity fails", (start + int(x), a, int(y)))
 
 
+def _levels(perms: np.ndarray):
+    """The breadth-first tree from 0 under the permutations perms (perms[j][x]
+    is the index of g_j * x), one level at a time: (frontier, steps) with one
+    (j, parents, kids) per generator, kids = perms[j][parents] the elements
+    first reached from the frontier by g_j.  Raises InvariantViolated once
+    the walk ends unless the tree spans."""
+    n = perms.shape[1]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=perms.dtype)
+    while frontier.size:
+        check_deadline()
+        steps = []
+        for j, perm in enumerate(perms):
+            reach = perm[frontier]
+            fresh = ~seen[reach]
+            kids = reach[fresh]
+            seen[kids] = True
+            steps.append((j, frontier[fresh], kids))
+        yield frontier, steps
+        frontier = np.concatenate([kids for _, _, kids in steps])
+    if not seen.all():
+        raise InvariantViolated(f"generators reach {int(seen.sum())} of {n} elements")
+
+
 def table_from_generators(perms: np.ndarray) -> np.ndarray:
     """The Cayley table from the left multiplications by generators g_j
     (perms[j][x] is the index of g_j * x, 0 the identity): row g_j * a is
-    perms[j][row a], filled a block at a time along a breadth-first tree from
-    0.  From the right multiplications (x * g_j) it is the transpose."""
+    perms[j][row a], filled a block at a time along the tree of _levels.
+    From the right multiplications (x * g_j) it is the transpose."""
     n = perms.shape[1]
     table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int32)
-    while frontier.size:
-        fresh = [frontier[:0]]
-        for perm in perms:
-            for start in range(0, frontier.size, BLOCK_ROWS):
+    rows = np.empty((min(n, BLOCK_ROWS), n), dtype=np.int32)  # one block, reused
+    for _, steps in _levels(perms):
+        for j, parents, kids in steps:
+            for start in range(0, parents.size, BLOCK_ROWS):
                 check_deadline()
-                parents = frontier[start:start + BLOCK_ROWS]
-                parents = parents[~seen[perm[parents]]]
-                kids = perm[parents]
-                seen[kids] = True
-                table[kids] = perm[table[parents]]
-                fresh.append(kids)
-        frontier = np.concatenate(fresh)
-    if not seen.all():
-        raise InvariantViolated(f"generators reach {int(seen.sum())} of {n} elements")
+                block = slice(start, start + BLOCK_ROWS)
+                # parents are in range; "clip" gathers into rows, "raise" would copy
+                got = table.take(parents[block], axis=0, out=rows[:parents[block].size],
+                                 mode="clip")
+                table[kids[block]] = perms[j][got]
     return table
 
 
@@ -652,13 +668,11 @@ class Homomorphism:
 
     __slots__ = ("source", "target", "map")
 
-    def __init__(self, source: Group, target: Group, index_map: Sequence[int], *,
-                 validate: bool = True):
+    def __init__(self, source: Group, target: Group, index_map: Sequence[int]):
         self.source = source
         self.target = target
         self.map = list(int(x) for x in index_map)
-        if validate:
-            self.verify()
+        self.verify()
 
     def verify(self) -> None:
         """phi(s * x) == phi(s) * phi(x) for s in source.generators() and
@@ -713,42 +727,49 @@ def sl2_steps(a, b, c, d, p: int) -> tuple:
     return (-c % p, -d % p, a, b), ((a + c) % p, (b + d) % p, c, d)
 
 
+def sl2_elements(p: int) -> tuple:
+    """(mats, perms) for SL2(F_p): mats the determinant-1 matrices (a, b, c, d)
+    in lexicographic order but for I and the first swapped, so that I is 0,
+    and perms[j][k] the index of g_j * mats[k] for (g_0, g_1) = (S, T) of
+    sl2_steps.  A matrix's index among all p^4 quadruples is its code."""
+    if p**4 >= 2**31:  # the int32 codes would wrap
+        raise CapExceeded(f"sl2: p = {p} is above the int32 table's range")
+    shape = (p,) * 4
+    i = np.arange(p, dtype=np.int32)
+    ad = (np.multiply.outer(i, i) % p).astype(np.int16)  # also bc, on axes b, c
+    codes = np.flatnonzero((ad[:, None, None, :] - ad[None, :, :, None]) % p == 1)
+    eye = int(np.searchsorted(codes, p**3 + 1))  # the code of I
+    codes[[0, eye]] = codes[[eye, 0]]
+    index_of = np.full(p**4, -1, dtype=np.int32)
+    index_of[codes] = np.arange(codes.size, dtype=np.int32)
+    mats = np.unravel_index(codes, shape)
+    steps = [np.ravel_multi_index(m, shape) for m in sl2_steps(*mats, p)]
+    return list(zip(*(m.tolist() for m in mats))), index_of[np.stack(steps)]
+
+
 @lru_cache(maxsize=None)
 def _sl2_walk(p: int) -> tuple:
-    """SL2(F_p) walked breadth-first from I by the two sl2_steps, each
-    product computed mod p and numbered when first reached: (succ, parent,
-    gen, bounds).  succ[j, k] numbers g_j * m_k for (g_0, g_1) = (S, T);
-    m_k = g_gen[k] * m_parent[k] for k > 0; the matrices of level L are
-    numbered bounds[L]..bounds[L+1]-1."""
-    mats = [(1, 0, 0, 1)]
-    number = {mats[0]: 0}
-    succ, parent, gen, depth = [[], []], [0], [0], [0]
-    for k, m_k in enumerate(mats):  # mats grows as the walk goes
-        for j, m in enumerate(sl2_steps(*m_k, p)):
-            if m not in number:
-                number[m] = len(mats)
-                mats.append(m)
-                parent.append(k)
-                gen.append(j)
-                depth.append(depth[k] + 1)
-            succ[j].append(number[m])
-    if len(mats) != (p - 1) * p * (p + 1):
-        raise InvariantViolated(f"S and T reach {len(mats)} matrices of SL2(F_{p})")
-    bounds = np.searchsorted(depth, np.arange(depth[-1] + 2)).tolist()
-    return np.array(succ), np.array(parent), np.array(gen), bounds
+    """(perms, levels): the S/T permutations of sl2_elements(p) and their
+    breadth-first tree from I."""
+    perms = sl2_elements(p)[1]
+    return perms, list(_levels(perms))
 
 
-def _sl2_images(G: Group, p: int, s: int, t: int) -> Optional[np.ndarray]:
-    """The images in G of the matrices in walk order under the homomorphism
-    with S -> s, T -> t, or None at the first level holding an edge
-    m -> g * m with phi(g * m) != phi(g) * phi(m), or if phi is not injective."""
-    succ, parent, gen, bounds = _sl2_walk(p)
-    table, images = G.table, np.array([s, t])
-    phi = np.zeros(succ.shape[1], dtype=np.int64)
-    for lo, mid, hi in zip(bounds, bounds[1:], bounds[2:] + bounds[-1:]):
+def carry(G: Group, perms: np.ndarray, levels: list, images: Sequence[int]
+          ) -> Optional[np.ndarray]:
+    """The map phi into G with phi(0) = 0 and phi(g_j * m) = images[j] * phi(m),
+    carried along levels, the list of _levels(perms): None at the first level
+    holding an edge m -> g_j * m that breaks it, or if phi is not injective.
+    An unbroken phi is a homomorphism on the group the g_j generate, by
+    induction on word length."""
+    table, images = G.table, np.asarray(images)
+    phi = np.zeros(perms.shape[1], dtype=np.int64)
+    for frontier, steps in levels:
         check_deadline()
-        phi[mid:hi] = table[images[gen[mid:hi]], phi[parent[mid:hi]]]
-        if not np.array_equal(table[images[:, None], phi[lo:mid]], phi[succ[:, lo:mid]]):
+        for j, parents, kids in steps:
+            phi[kids] = table[images[j], phi[parents]]
+        if not np.array_equal(table[images[:, None], phi[frontier]],
+                              phi[perms[:, frontier]]):
             return None
     hit = np.zeros(G.order, dtype=bool)
     hit[phi] = True
@@ -757,10 +778,11 @@ def _sl2_images(G: Group, p: int, s: int, t: int) -> Optional[np.ndarray]:
 
 def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]:
     """An embedding phi of SL2(F_p) (p an odd prime) into G with S and T sent
-    into elements, as the images of the matrices in the order of _sl2_walk,
-    or None: T goes to t, the first element of order p in elements, and S to
-    each element s of order 4 in turn, until the first embedding.  Each
-    candidate s stops at its first level with a conflicting edge.
+    into elements, as the images of the matrices indexed as in sl2_elements
+    and constructors.sl2(p), or None: T goes to t, the first element of
+    order p in elements, and S to each element s of order 4 in turn, until
+    the first embedding.  Each candidate s stops at its first level with a
+    conflicting edge.  Fewer elements than |SL2(F_p)| hold no embedding.
 
     Sound: phi(I) = 1 and phi(g * m) = phi(g) * phi(m) for g in {S, T} and
     every m give, by induction on word length, a homomorphism on <S, T> =
@@ -773,13 +795,16 @@ def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]
     to an element of order 4, which the scan reaches."""
     if p == 2 or not is_prime(p):
         raise BadParams(f"{p} is not an odd prime")
+    if len(elements) < (p - 1) * p * (p + 1):
+        return None
     orders = G.element_orders()
     t = next((g for g in elements if orders[g] == p), None)
     if t is None:
         return None
+    walk = _sl2_walk(p)
     for s in elements:
         if orders[s] == 4:
-            phi = _sl2_images(G, p, s, t)
+            phi = carry(G, *walk, [s, t])
             if phi is not None:
                 return phi
     return None

@@ -32,6 +32,8 @@ from .groups import (
     Group,
     Homomorphism,
     Subgroup,
+    _levels,
+    carry,
     cyclic_subgroups,
     left_cosets,
     mulclose,
@@ -439,15 +441,12 @@ def _kronecker(a: RepMatrix, b: RepMatrix) -> RepMatrix:
 
 
 def tensor_product_rep(rep_a: Representation, rep_b: Representation,
-                       product: Optional[Group] = None) -> Representation:
-    """Kronecker-product representation of A x B for coprime |A|, |B|."""
+                       product: Group) -> Representation:
+    """Kronecker-product representation of A x B for coprime |A|, |B| on
+    product, their direct_product."""
     A, B = rep_a.group, rep_b.group
     if gcd(A.order, B.order) != 1:
         raise NotCoprime(f"|A| = {A.order} and |B| = {B.order} share a factor")
-    if product is None:
-        from .constructors import direct_product
-
-        product = direct_product(A, B)
     if product.factors is None or product.factors[0] is not A \
             or product.factors[1] is not B:
         raise NotAGroup("tensor target must be the direct product of A and B")
@@ -556,34 +555,26 @@ def _to_hurwitz_model(H: Group, model: Group) -> Homomorphism:
     """An isomorphism H -> model of two copies of 2T, fixed by the images of
     x, the first element of H of order 6, and y, the first of order 6
     outside <x> (together they generate 2T): the earliest pair of model
-    elements of order 6, in conjugacy class order, whose map carried along a
-    breadth-first tree of H over {x, y} is bijective and multiplicative.
+    elements of order 6, in conjugacy class order, whose map carried along
+    the breadth-first tree of H over {x, y} is injective and multiplicative.
     That rule fixes the witnesses printed by `represent --json`."""
     orders, model_orders = H.element_orders(), model.element_orders()
     sixes = [g for g in H.elements() if orders[g] == 6]
     powers = mulclose(H, sixes[:1])
     y = next((g for g in sixes if g not in powers), None)
+    not_2t = InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
     if y is None:
-        raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
-    gens = (sixes[0], y)
-    # parent[k] = (h, i) with k = h * gens[i], h reached before k
-    reached, parent = [0], {0: None}
-    for h in reached:  # reached grows as the tree does
-        for i, g in enumerate(gens):
-            k = H.mul(h, g)
-            if k not in parent:
-                parent[k] = (h, i)
-                reached.append(k)
+        raise not_2t
+    perms = H.table[[sixes[0], y]]
+    try:
+        levels = list(_levels(perms))
+    except InvariantViolated:
+        raise not_2t from None
     candidates = [h for cls in model.conjugacy_classes() for h in cls
                   if model_orders[h] == 6]
-    for pair in ((a, b) for a in candidates for b in candidates):
-        phi = [0] * H.order
-        for k in reached[1:]:
-            h, i = parent[k]
-            phi[k] = model.mul(phi[h], pair[i])
-        if len(set(phi)) == H.order:
-            try:
+    for a in candidates:
+        for b in candidates:
+            phi = carry(model, perms, levels, [a, b])
+            if phi is not None:
                 return Homomorphism(H, model, phi)
-            except NotAGroup:
-                pass
-    raise InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
+    raise not_2t

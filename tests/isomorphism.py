@@ -6,7 +6,7 @@ generating_sequence greedily picks a short generating sequence of G, and
 is_isomorphic tries every assignment of its elements to elements of H of
 the same order and class size, extending each partial one multiplicatively
 with _close_with_map until it conflicts or covers G.  inverse_map inverts
-a bijective witness.
+a bijective witness and verifies the inverse as a homomorphism.
 """
 
 from __future__ import annotations
@@ -120,4 +120,4 @@ def inverse_map(phi: Homomorphism) -> Homomorphism:
     inv = [0] * phi.target.order
     for g, h in enumerate(phi.map):
         inv[h] = g
-    return Homomorphism(phi.target, phi.source, inv, validate=False)
+    return Homomorphism(phi.target, phi.source, inv)

@@ -21,6 +21,7 @@ from freerep.groups import (
     cyclic_subgroups,
     normal_closure,
     normalizer,
+    sl2_elements,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -57,7 +58,7 @@ def trichotomy_check(p: int) -> bool:
     _require_odd_prime(p)
     G = sl2_group(p)
     orders = G.element_orders()
-    for g, (a, b, c, d) in enumerate(G.matrices):
+    for g, (a, b, c, d) in enumerate(sl2_elements(p)[0]):
         check_deadline()
         if orders[g] <= 2:
             continue
@@ -80,8 +81,8 @@ def find_conjugator(G: Group, C1: Subgroup, C2: Subgroup) -> Optional[int]:
     return None
 
 
-def _matrix_index(G: Group, mat: tuple) -> int:
-    return G.matrices.index(mat)
+def _matrix_index(p: int, mat: tuple) -> int:
+    return sl2_elements(p)[0].index(mat)
 
 
 def _primitive_root(p: int) -> int:
@@ -107,8 +108,8 @@ def fermat_pq_witness(p: int) -> Optional[Subgroup]:
     G = sl2_group(p)
     g = _primitive_root(p)
     a = pow(g, (p - 1) // r, p)
-    u = _matrix_index(G, (1, 1, 0, 1))
-    t = _matrix_index(G, (a, 0, 0, pow(a, p - 2, p)))
+    u = _matrix_index(p, (1, 1, 0, 1))
+    t = _matrix_index(p, (a, 0, 0, pow(a, p - 2, p)))
     H = subgroup_generated(G, [u, t])
     if len(H) != p * r:
         raise InvariantViolated(f"witness has order {len(H)}, wanted {p * r}")
@@ -161,7 +162,7 @@ def normalizer_structure_check(p: int) -> bool:
     upper-triangular action b -> a^2 b."""
     _require_odd_prime(p)
     G = sl2_group(p)
-    u = _matrix_index(G, (1, 1, 0, 1))
+    u = _matrix_index(p, (1, 1, 0, 1))
     C = subgroup_generated(G, [u])
     if len(C) != p:
         raise InvariantViolated(f"the unipotent subgroup has order {len(C)}, not {p}")

@@ -19,6 +19,7 @@ from freerep.groups import (
     count_nth_roots,
     normal_subgroups,
     quotient_group,
+    sl2_elements,
     subgroup_generated,
     sylow_conjugates,
     sylow_subgroup,
@@ -121,7 +122,7 @@ def test_criterion_3_sl2_census(p):
     G = sl2_group(p)
     assert G.order == (p - 1) * p * (p + 1)
     assert G.element_orders().count(2) == 1
-    minus = G.matrices.index((p - 1, 0, 0, p - 1))
+    minus = sl2_elements(p)[0].index((p - 1, 0, 0, p - 1))
     assert G.element_order(minus) == 2
     rows = cyclic_census(p)
     bad = [r for r in rows if not r.match]

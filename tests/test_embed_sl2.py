@@ -1,14 +1,13 @@
 """The SL2(F_p) matrix walk of embed_sl2 against the isomorphism search.
 
-A positive answer is re-checked as a homomorphism from the table of
-SL2(F_p), through the labelling the walk gives that table itself, and the
-backtracking search of the oracle must agree on every verdict."""
+A positive answer indexes the matrices as constructors.sl2(p) does, so it is
+re-checked as a homomorphism from that table, and the backtracking search of
+the oracle must agree on every verdict."""
 
 from __future__ import annotations
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from isomorphism import is_isomorphic
@@ -16,19 +15,12 @@ from isomorphism import is_isomorphic
 from freerep.classify import is_freely_representable
 from freerep.cli import parse_group_spec
 from freerep.constructors import cyclic, direct_product, sl2
-from freerep.errors import BadParams
-from freerep.groups import (Homomorphism, _sl2_images, embed_sl2, perfect_core,
-                            sl2_steps, subgroup_generated, sylow_subgroup)
+from freerep.errors import BadParams, CapExceeded
+from freerep.groups import (Homomorphism, _sl2_walk, carry, embed_sl2, perfect_core,
+                            sl2_elements, subgroup_generated, sylow_subgroup)
 from freerep.quaternions import (binary_icosahedral_generators, finite_quaternion_group,
                                  hurwitz_tetrahedral_generators)
 from freerep.represent import _to_hurwitz_model
-
-
-def _matrix_labels(p):
-    """SL2(F_p) and the element of it that each matrix of the walk is."""
-    M = sl2(p)
-    S, T = (M.matrices.index(m) for m in sl2_steps(1, 0, 0, 1, p))
-    return M, _sl2_images(M, p, S, T)
 
 
 def _check_embedding(G, elements, p):
@@ -36,11 +28,7 @@ def _check_embedding(G, elements, p):
     images = embed_sl2(G, elements, p)
     assert images is not None, (G.origin, p)
     assert sorted(images.tolist()) == sorted(elements), G.origin
-    M, labels = _matrix_labels(p)
-    # element labels[k] of SL2(F_p) is the matrix k, which the walk sends to images[k]
-    to_g = np.empty(M.order, dtype=np.int64)
-    to_g[labels] = images
-    Homomorphism(M, G, to_g)
+    Homomorphism(sl2(p), G, images)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -88,6 +76,19 @@ def test_walk_needs_an_odd_prime():
             embed_sl2(G, G.elements(), p)
 
 
+def test_too_few_elements_hold_no_embedding():
+    # an embedding is injective: 404 elements cannot hold the 1030200 of
+    # SL2(F_101), so the walk over them is never built
+    walks = _sl2_walk.cache_info().misses
+    assert embed_sl2(cyclic(404), range(404), 101) is None
+    assert _sl2_walk.cache_info().misses == walks
+
+
+def test_sl2_enumeration_stops_where_int32_codes_would_wrap():
+    with pytest.raises(CapExceeded):
+        sl2_elements(223)  # 223^4 >= 2^31
+
+
 def test_sl2_17_is_recognised_without_a_second_table():
     # the walk maps 4896 matrices into G; a second table of SL2(F_17) and its
     # validation would need more than G.table itself
@@ -114,7 +115,7 @@ def test_every_t_yields_every_embedding(p):
     for t in G.elements():
         for s in G.elements():
             if (orders[t], orders[s]) == (p, 4):
-                phi = _sl2_images(G, p, s, t)
+                phi = carry(G, *_sl2_walk(p), [s, t])
                 if phi is not None:
                     found.add(tuple(phi.tolist()))
     assert len(found) == (p - 1) * p * (p + 1)

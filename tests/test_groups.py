@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 
 from isomorphism import is_isomorphic
-from freerep.errors import NotAGroup, NotConjugationClosed, NotNormal
+from freerep.errors import InvariantViolated, NotAGroup, NotConjugationClosed, NotNormal
 from freerep.groups import (
     Group,
     Subgroup,
@@ -30,6 +30,7 @@ from freerep.groups import (
     subgroup_generated,
     sylow_conjugates,
     sylow_subgroup,
+    table_from_generators,
 )
 from freerep.constructors import (
     cyclic,
@@ -123,6 +124,12 @@ def test_build_group_rejects_nonassociative():
     ]
     with pytest.raises(NotAGroup, match="assoc"):
         build_group(lambda i, j: table[i][j], 5)
+
+
+def test_table_from_generators_rejects_a_non_generating_set():
+    # left multiplication by element 2 of C6 reaches only 0, 2 and 4
+    with pytest.raises(InvariantViolated, match="generators reach 3 of 6"):
+        table_from_generators(cyclic(6).table[[2]])
 
 
 # -- element orders, subgroup generation --------------------------------------

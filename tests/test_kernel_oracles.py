@@ -68,9 +68,10 @@ from freerep.groups import (
     Group,
     Homomorphism,
     Subgroup,
-    _sl2_images,
+    _sl2_walk,
     _validate_table,
     build_group,
+    carry,
     center,
     centralizer,
     commutator_of_subgroup,
@@ -82,6 +83,7 @@ from freerep.groups import (
     normal_closure,
     normalizer,
     quotient_group,
+    sl2_elements,
     sl2_steps,
     subgroup_generated,
     sylow_subgroup,
@@ -173,7 +175,7 @@ def test_sl2_table_matches_the_row_loop(p):
     table, mats = _sl2_by_rows(p)
     G = sl2(p)
     assert np.array_equal(G.table, table)
-    assert G.matrices == mats
+    assert sl2_elements(p)[0] == mats
 
 
 def test_odd_core_matches_one_closure_per_cyclic_subgroup():
@@ -607,9 +609,10 @@ def test_close_with_map_matches_the_row_loop():
     for p in (3, 5, 7, 11):
         G = sl2(p)
         rows = G.table.tolist()
-        S, T = (G.matrices.index(m) for m in sl2_steps(1, 0, 0, 1, p))
-        labels = _sl2_images(G, p, S, T)  # matrix k of the walk is G element labels[k]
-        assert sorted(labels.tolist()) == list(range(G.order)), G.origin
+        walk = _sl2_walk(p)
+        S, T = (sl2_elements(p)[0].index(m) for m in sl2_steps(1, 0, 0, 1, p))
+        # the walk indexes the matrices as the table does
+        assert carry(G, *walk, [S, T]).tolist() == list(range(G.order)), G.origin
         rng = random.Random(G.order)
         orders = G.element_orders()
         fours = [g for g in range(G.order) if orders[g] == 4]
@@ -619,12 +622,12 @@ def test_close_with_map_matches_the_row_loop():
         images += [(rng.choice(fours), rng.choice(ps)) for _ in range(12)]
         images += [(rng.randrange(G.order), rng.randrange(G.order)) for _ in range(4)]
         for s, t in images:
-            got = _sl2_images(G, p, s, t)
+            got = carry(G, *walk, [s, t])
             expected = _close_with_map_by_rows(rows, rows, [(S, s), (T, t)])
             bijective = expected is not None and len(set(expected.values())) == G.order
             assert (got is not None) == bijective, (G.origin, s, t)
             if got is not None:
-                assert [expected[x] for x in labels.tolist()] == got.tolist(), \
+                assert [expected[x] for x in range(G.order)] == got.tolist(), \
                     (G.origin, s, t)
 
 

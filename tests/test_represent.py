@@ -264,23 +264,25 @@ def test_2o_embedding_free():
 
 def test_tensor_with_trivial_factor():
     A, B = cyclic(1), cyclic(3)
-    rep = tensor_product_rep(scalar_representation(A), scalar_representation(B))
+    rep = tensor_product_rep(scalar_representation(A), scalar_representation(B),
+                             direct_product(A, B))
     assert rep.degree == 1
     assert verify_free(rep).free
 
 
 def test_tensor_c2_c3():
-    rep = tensor_product_rep(scalar_representation(cyclic(2)),
-                             scalar_representation(cyclic(3)))
+    A, B = cyclic(2), cyclic(3)
+    rep = tensor_product_rep(scalar_representation(A), scalar_representation(B),
+                             direct_product(A, B))
     assert rep.degree == 1
     assert rep.conductor == 6
     assert verify_free(rep).free
 
 
 def test_tensor_q8_c7():
-    G8 = finite_quaternion_group([I, J])
-    rep = tensor_product_rep(quaternion_embedding_rep(G8),
-                             scalar_representation(cyclic(7)))
+    G8, C7 = finite_quaternion_group([I, J]), cyclic(7)
+    rep = tensor_product_rep(quaternion_embedding_rep(G8), scalar_representation(C7),
+                             direct_product(G8, C7))
     assert rep.degree == 2
     assert rep.conductor == 28
     assert verify_free(rep).free
@@ -295,7 +297,8 @@ def test_tensor_of_two_nonscalar_reps_is_the_kronecker_product():
     a7 = next(g for g in range(21) if F21.element_order(g) == 7)
     mono = induced_representation(F21, subgroup_generated(F21, [a7]), 1)
     for ra, rb in ((q8, mono), (mono, q8)):
-        rep = tensor_product_rep(ra, rb)  # validated on construction
+        # validated on construction
+        rep = tensor_product_rep(ra, rb, direct_product(ra.group, rb.group))
         assert (rep.degree, rep.conductor) == (6, 28)
         nb, db = rb.group.order, rb.degree
         for x in range(ra.group.order):
@@ -312,8 +315,9 @@ def test_tensor_of_two_nonscalar_reps_is_the_kronecker_product():
 
 def test_tensor_rejects_non_coprime():
     with pytest.raises(NotCoprime):
-        tensor_product_rep(scalar_representation(cyclic(2)),
-                           scalar_representation(cyclic(4)))
+        A, B = cyclic(2), cyclic(4)
+        tensor_product_rep(scalar_representation(A), scalar_representation(B),
+                           direct_product(A, B))
 
 
 # -- build_free_representation ---------------------------------------------------------

@@ -14,6 +14,7 @@ from sl2_theory import (
     trichotomy_check,
 )
 
+from freerep.groups import sl2_elements
 from freerep.sl2census import (
     census_report,
     cyclic_census,
@@ -60,10 +61,10 @@ def test_trichotomy(p):
 
 def test_trichotomy_instances():
     G = sl2_group(5)
-    unipotent = G.matrices.index((1, 1, 0, 1))
+    unipotent = sl2_elements(5)[0].index((1, 1, 0, 1))
     assert G.element_order(unipotent) == 5  # one eigenvalue, order | 2p = 10
     G7 = sl2_group(7)
-    diag = G7.matrices.index((2, 0, 0, 4))  # 2*4 = 8 = 1 mod 7
+    diag = sl2_elements(7)[0].index((2, 0, 0, 4))  # 2*4 = 8 = 1 mod 7
     assert (7 - 1) % G7.element_order(diag) == 0  # two eigenvalues
 
 
