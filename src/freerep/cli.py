@@ -421,32 +421,38 @@ def main(argv=None) -> int:
     parser.add_argument("--deadline", type=float, default=None,
                         help="soft time limit in seconds, checked in the "
                              "long loops of every stage")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "norm-relation", "represent"):
-        c = sub.add_parser(name)
-        c.add_argument("spec")
-    c = sub.add_parser("census")
-    c.add_argument("p", type=int)
-    sub.add_parser("survey210")
-
+    parser.add_argument("command", choices=(
+        "analyze", "norm-relation", "represent", "census", "survey210"))
+    parser.add_argument("operand", nargs="?",
+                        help="a group spec (analyze, norm-relation, "
+                             "represent) or a prime p (census)")
     args = parser.parse_args(argv)
+    given = args.operand
+    if (given is None) != (args.command == "survey210"):
+        parser.error(f"{args.command} takes "
+                     + ("no operand" if given is not None else "one operand"))
+    if args.command == "census":
+        try:
+            given = int(given)
+        except ValueError:
+            parser.error(f"census: invalid int value: {given!r}")
 
     try:
         with limits(seconds=args.deadline, cap=args.cap):
             if args.command == "analyze":
-                text = cmd_analyze(args.spec, args.json)
+                text = cmd_analyze(given, args.json)
             elif args.command == "norm-relation":
-                text = cmd_norm_relation(args.spec, args.json)
+                text = cmd_norm_relation(given, args.json)
             elif args.command == "represent":
-                text = cmd_represent(args.spec, args.json)
+                text = cmd_represent(given, args.json)
             elif args.command == "census":
-                text = cmd_census(args.p, args.json)
+                text = cmd_census(given, args.json)
             else:
                 text = cmd_survey210(args.json)
     except FreerepError as exc:
-        given = getattr(args, "spec", getattr(args, "p", args.command))
         print(json.dumps({"kind": type(exc).__name__, "detail": str(exc),
-                          "offending_input": str(given)}),
+                          "offending_input": str(
+                              args.command if given is None else given)}),
               file=sys.stderr)
         return 2 if isinstance(exc, (CapExceeded, DeadlineExceeded)) else 1
     try:

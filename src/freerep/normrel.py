@@ -2,7 +2,7 @@
 certificates: decide whether 1 lies in the left ideal of Q[G] generated by
 nontrivial subgroup norms, and emit machine-verifiable witnesses.
 
-The ideal is eliminated modulo a prime below 2**31 and every answer is then
+The ideal is eliminated modulo a prime below 2**26 and every answer is then
 proved over Q with integer arithmetic: a certificate is reconstructed and
 re-multiplied exactly; "no relation" is proved by reconstructing the echelon
 basis and checking that every generator lies in its row space and 1 does
@@ -119,15 +119,31 @@ class NormRelationCertificate:
     verified: bool = False
 
     def verify(self) -> bool:
-        total = GroupAlgebraElement(self.group)
+        """Is sum of coeff * N(sub) exactly 1?  Over one common denominator
+        L: L * coeff is integer on its support g, and adds to the cells
+        g * sub of one integer vector, which must be L at 1 and 0 elsewhere."""
         for sub, coeff in self.terms:
             if sub.parent is not self.group or coeff.parent is not self.group:
                 raise ParentMismatch("certificate term bound to wrong group")
             if len(sub) == 1:
                 self.verified = False
                 return False
-            total = total + coeff * norm_element(sub)
-        self.verified = total == GroupAlgebraElement.unit(self.group)
+        L = lcm(*(c.denominator for _, coeff in self.terms
+                  for c in coeff.coeffs))
+        scaled = [[(g, c.numerator * (L // c.denominator))
+                   for g, c in enumerate(coeff.coeffs) if c]
+                  for _, coeff in self.terms]
+        # |total[x]| is at most the sum of |L * c| over all terms
+        mass = sum(abs(a) for pairs in scaled for _, a in pairs)
+        total = np.zeros(self.group.order,
+                         dtype=np.int64 if max(mass, L) < 2 ** 63 else object)
+        for (sub, _), pairs in zip(self.terms, scaled):
+            if pairs:
+                support, values = zip(*pairs)
+                cells = self.group.table[np.ix_(support, sub.elements)]
+                np.add.at(total, cells,
+                          np.array(values, dtype=total.dtype)[:, None])
+        self.verified = bool(total[0] == L and np.count_nonzero(total) == 1)
         return self.verified
 
     def to_json(self, group_spec: str | None = None) -> dict:
@@ -156,6 +172,10 @@ class NormRelationOutcome:
     ideal_dimension: int
 
 
+# Entries one gather of NormIdealBasis.spans_cosets may hold.
+GATHER_ENTRIES = 2 ** 18
+
+
 class NormIdealBasis:
     """Proved reduced echelon basis of the left ideal J spanned by {g * N(C)},
     C ranging over the prime-order cyclic subgroups: `rows` is the integer
@@ -179,6 +199,31 @@ class NormIdealBasis:
         return (vectors[:, self.pivots] @ self.rows
                 == self.denominator * vectors).all(axis=1)
 
+    def spans_cosets(self, cosets: list) -> bool:
+        """Is the 0/1 vector v of every coset in the row space of R?  With
+        D*I at the pivots, v[pivots] @ (D*R) is the sum of the rows whose
+        pivot lies in the coset: one gather per block of same-size cosets,
+        from the rows and one zero row standing for the other columns."""
+        n, r = self.group.order, self.dimension
+        padded = np.vstack([self.rows,
+                            np.zeros((1, n), dtype=self.rows.dtype)])
+        row_of = np.full(n, r)
+        row_of[self.pivots] = np.arange(r)
+        by_size: dict = {}
+        for coset in cosets:
+            by_size.setdefault(len(coset), []).append(coset)
+        for size, same in by_size.items():
+            step = max(1, GATHER_ENTRIES // (size * n))
+            for i in range(0, len(same), step):
+                block = np.array(same[i:i + step])
+                scaled = np.zeros((len(block), n), dtype=padded.dtype)
+                scaled[np.arange(len(block))[:, None], block] = \
+                    self.denominator
+                if not np.array_equal(padded[row_of[block]].sum(axis=1),
+                                      scaled):
+                    return False
+        return True
+
     def contains(self, x: GroupAlgebraElement) -> bool:
         scale = lcm(*(c.denominator for c in x.coeffs))
         v = np.array([[c.numerator * (scale // c.denominator)
@@ -186,8 +231,11 @@ class NormIdealBasis:
         return bool(self.spans(v)[0])
 
 
-# Residues stay below 2**31, so a product of two stays below 2**62.
-MODULUS_LIMIT = 2 ** 31
+# Residues stay below 2**26, so a product of two stays below 2**52 and
+# REDUCE_EVERY rank-1 updates of them, left unreduced, stay below 2**62.
+# 2**26 - 5 is prime.
+MODULUS_LIMIT = 2 ** 26 - 4
+REDUCE_EVERY = 2 ** 9
 
 
 @dataclass
@@ -224,7 +272,9 @@ def _generator_stream(G: Group, subgroups: list) -> list:
 def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool) -> _Echelon:
     """Feed the stream into a fully reduced echelon form mod p.  A generator
     is reduced against the rows whose pivot lies in its coset; inserting it
-    is one rank-1 update of the rows and of their combinations."""
+    is one rank-1 update of the rows and of their combinations.  The updates
+    skip the reduction mod p: entries are reduced where they are read, and
+    all of them every REDUCE_EVERY updates and at the end."""
     rows = np.zeros((n, n), dtype=np.int64)
     combos = np.zeros((n, n), dtype=np.int64)
     row_of = np.full(n, -1)  # pivot column -> row
@@ -235,7 +285,7 @@ def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool) -> _Echelon:
         check_deadline()
         hit = row_of[coset]
         hit = hit[hit >= 0]
-        w = -rows[hit].sum(axis=0)
+        w = -(rows[hit] % p).sum(axis=0)
         w[coset] += 1
         w %= p
         support = np.flatnonzero(w)
@@ -244,23 +294,27 @@ def _eliminate(stream: list, n: int, p: int, stop_at_unit: bool) -> _Echelon:
         r, col = len(pivots), int(support[0])
         inv = pow(int(w[col]), -1, p)
         w = w * inv % p
-        k = -combos[hit, :r + 1].sum(axis=0)
+        k = -(combos[hit, :r + 1] % p).sum(axis=0)
         k[r] += 1
         k = k % p * inv % p
-        touched = np.flatnonzero(rows[:r, col])
-        f = rows[touched, col, None]
-        rows[touched] = (rows[touched] - f * w) % p
-        combos[touched, :r + 1] = (combos[touched, :r + 1] - f * k) % p
+        f = rows[:r, col] % p
+        touched = np.flatnonzero(f)
+        f = f[touched, None]
+        rows[touched] -= f * w
+        combos[touched, :r + 1] -= f * k
         rows[r], combos[r, :r + 1] = w, k
         row_of[col] = r
         chosen.append(pos)
         pivots.append(col)
+        if (r + 1) % REDUCE_EVERY == 0:
+            rows[:r] %= p
+            combos[:r, :r + 1] %= p
         if stop_at_unit and row_of[0] >= 0 \
-                and np.count_nonzero(rows[row_of[0]]) == 1:
+                and np.count_nonzero(rows[row_of[0]] % p) == 1:
             unit_row = int(row_of[0])
             break
     r = len(pivots)
-    return _Echelon(p, chosen, pivots, rows[:r].copy(), combos[:r, :r].copy(),
+    return _Echelon(p, chosen, pivots, rows[:r] % p, combos[:r, :r] % p,
                     unit_row)
 
 
@@ -300,23 +354,29 @@ def _crt(a: np.ndarray, m: int, b: np.ndarray, p: int) -> np.ndarray:
     return a + m * ((b.astype(object) - a) * pow(m, -1, p) % p)
 
 
-def _dense(n: int, cosets: list, dtype=np.int64) -> np.ndarray:
-    """The 0/1 generator vectors of the given cosets, one per row."""
-    v = np.zeros((len(cosets), n), dtype=dtype)
-    for i, coset in enumerate(cosets):
-        v[i, coset] = 1
-    return v
+def _chosen_product(stream: list, ech: _Echelon) -> np.ndarray:
+    """combos @ V for the 0/1 matrix V of the chosen generators, as a
+    scatter-add of combos columns over their cosets: the chosen cosets of
+    one subgroup are disjoint.  Entries stay below 2**26 * |G|."""
+    by_subgroup: dict = {}
+    for k, pos in enumerate(ech.chosen):
+        by_subgroup.setdefault(stream[pos][0], []).append(k)
+    out = np.zeros(ech.rows.shape, dtype=np.int64)
+    for ks in by_subgroup.values():
+        cosets = np.array([stream[ech.chosen[k]][2] for k in ks])
+        out[:, cosets.ravel()] += np.repeat(ech.combos[:, ks],
+                                            cosets.shape[1], axis=1)
+    return out
 
 
 def _proves(basis: NormIdealBasis, stream: list, ech: _Echelon,
             exclude_unit: bool) -> bool:
     """Exact checks that J is the row space of the basis (and, if asked,
     that 1 is not in J)."""
-    n, r, piv = basis.group.order, len(ech.pivots), ech.pivots
+    r, piv = len(ech.pivots), ech.pivots
     # 1. The chosen generators are independent mod p, hence over Q:
     #    rank J >= r.
-    chosen = _dense(n, [stream[pos][2] for pos in ech.chosen])
-    if not (np.array_equal(ech.combos @ chosen % ech.p, ech.rows)
+    if not (np.array_equal(_chosen_product(stream, ech) % ech.p, ech.rows)
             and np.array_equal(ech.rows[:, piv], np.eye(r, dtype=np.int64))):
         return False
     # 2. R has the identity at the pivots and every generator lies in its
@@ -324,11 +384,7 @@ def _proves(basis: NormIdealBasis, stream: list, ech: _Echelon,
     if basis.pivots != piv or not np.array_equal(
             basis.rows[:, piv], np.diag([basis.denominator] * r)):
         return False
-    by_subgroup: dict = {}
-    for ci, _, coset in stream:
-        by_subgroup.setdefault(ci, []).append(coset)
-    if not all(basis.spans(_dense(n, cosets, basis.rows.dtype)).all()
-               for cosets in by_subgroup.values()):
+    if not basis.spans_cosets([coset for _, _, coset in stream]):
         return False
     # 3. 1 is not in the row space, hence not in J.
     return not (exclude_unit

@@ -133,6 +133,17 @@ def test_census_error_names_its_argument(capsys):
     assert data["offending_input"] == "2"
 
 
+@pytest.mark.parametrize("argv", [["census", "x"], ["analyze"],
+                                  ["survey210", "C5"]],
+                         ids=["census-not-int", "analyze-no-spec",
+                              "survey210-with-operand"])
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: freerep" in capsys.readouterr().err
+
+
 def test_cap_error_exit_code(capsys):
     assert main(["census", "17"]) == 2  # opt-in required
     data = json.loads(capsys.readouterr().err)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpus import norm_relation_corpus
+from corpus import norm_relation_corpus, structural_corpus
 from freerep import normrel
 from freerep.cyclotomic import is_prime
 from freerep.errors import NotAPartition, ParentMismatch
@@ -521,3 +521,198 @@ def test_tampered_no_relation_proof_is_rejected(G):
                                  basis.rows.copy())
         changed.rows[i, j] += 1
         assert not normrel._proves(changed, stream, ech, True)
+
+
+# -- the elimination that reduces mod p at every update, kept as the oracle --------
+
+def _eliminate_reducing_every_update(stream, n, p, stop_at_unit):
+    """The former _eliminate: every update of the echelon form is reduced
+    mod p at once."""
+    rows = np.zeros((n, n), dtype=np.int64)
+    combos = np.zeros((n, n), dtype=np.int64)
+    row_of = np.full(n, -1)
+    chosen, pivots = [], []
+    unit_row = None
+    for pos, (_, _, coset) in enumerate(stream):
+        hit = row_of[coset]
+        hit = hit[hit >= 0]
+        w = -rows[hit].sum(axis=0)
+        w[coset] += 1
+        w %= p
+        support = np.flatnonzero(w)
+        if not support.size:
+            continue
+        r, col = len(pivots), int(support[0])
+        inv = pow(int(w[col]), -1, p)
+        w = w * inv % p
+        k = -combos[hit, :r + 1].sum(axis=0)
+        k[r] += 1
+        k = k % p * inv % p
+        touched = np.flatnonzero(rows[:r, col])
+        f = rows[touched, col, None]
+        rows[touched] = (rows[touched] - f * w) % p
+        combos[touched, :r + 1] = (combos[touched, :r + 1] - f * k) % p
+        rows[r], combos[r, :r + 1] = w, k
+        row_of[col] = r
+        chosen.append(pos)
+        pivots.append(col)
+        if stop_at_unit and row_of[0] >= 0 \
+                and np.count_nonzero(rows[row_of[0]]) == 1:
+            unit_row = int(row_of[0])
+            break
+    r = len(pivots)
+    return normrel._Echelon(p, chosen, pivots, rows[:r].copy(),
+                            combos[:r, :r].copy(), unit_row)
+
+
+def _both_corpora():
+    return list({G.origin: G for G in norm_relation_corpus()
+                 + structural_corpus()}.values())
+
+
+def _stream(G):
+    subgroups = [C for C in cyclic_subgroups(G) if is_prime(len(C))]
+    return normrel._generator_stream(G, subgroups)
+
+
+def _first_prime():
+    return next(normrel._primes_below(normrel.MODULUS_LIMIT))
+
+
+def _assert_same_echelon(got, want, origin):
+    assert got.chosen == want.chosen, origin
+    assert got.pivots == want.pivots, origin
+    assert np.array_equal(got.rows, want.rows), origin
+    assert np.array_equal(got.combos, want.combos), origin
+    assert got.unit_row == want.unit_row, origin
+
+
+@pytest.mark.parametrize("reduce_every", [normrel.REDUCE_EVERY, 3])
+def test_lazy_elimination_matches_the_reducing_oracle(reduce_every,
+                                                      monkeypatch):
+    # every third update reduced in full puts most corpus runs through
+    # many full reductions; at the default no corpus rank reaches one
+    monkeypatch.setattr(normrel, "REDUCE_EVERY", reduce_every)
+    p = _first_prime()
+    for G in _both_corpora():
+        stream = _stream(G)
+        for stop in (True, False):
+            _assert_same_echelon(
+                normrel._eliminate(stream, G.order, p, stop),
+                _eliminate_reducing_every_update(stream, G.order, p, stop),
+                G.origin)
+
+
+def test_lazy_elimination_matches_past_a_full_reduction():
+    # rank 792 > REDUCE_EVERY: the form is reduced in full mid-stream
+    G = direct_product(cyclic(7), sl2(5))
+    stream, p = _stream(G), _first_prime()
+    got = normrel._eliminate(stream, G.order, p, False)
+    assert len(got.pivots) == 792 > normrel.REDUCE_EVERY
+    _assert_same_echelon(
+        got, _eliminate_reducing_every_update(stream, G.order, p, False),
+        G.origin)
+
+
+def test_one_prime_proves_every_corpus_answer():
+    # residues below 2**26 reconstruct fractions up to about 5792; the
+    # corpus needs no second prime ("primes exhausted" otherwise)
+    p = _first_prime()
+    for G in _both_corpora():
+        for stop in (True, False):
+            normrel._search(G, stop_at_unit=stop, primes=[p])
+
+
+# -- sparse checks against the dense products -----------------------------------------
+
+def _dense(n, cosets, dtype=np.int64):
+    """The 0/1 generator vectors of the given cosets, one per row."""
+    v = np.zeros((len(cosets), n), dtype=dtype)
+    for i, coset in enumerate(cosets):
+        v[i, coset] = 1
+    return v
+
+
+def test_sparse_checks_match_the_dense_products():
+    p = _first_prime()
+    rng = np.random.default_rng(1)
+    for G in _both_corpora():
+        n, stream = G.order, _stream(G)
+        ech = normrel._eliminate(stream, n, p, False)
+        chosen = _dense(n, [stream[pos][2] for pos in ech.chosen])
+        assert np.array_equal(normrel._chosen_product(stream, ech),
+                              ech.combos @ chosen), G.origin
+        basis = norm_ideal(G)
+        cosets = [coset for _, _, coset in stream]
+        gens = _dense(n, cosets)
+        assert basis.spans_cosets(cosets) and basis.spans(gens).all()
+        if not basis.dimension:
+            continue
+        tampered = [basis]
+        if n <= 48:
+            # python integers, as _rational_matrix gives for large entries
+            big = NormIdealBasis(G, basis.pivots, basis.denominator * 2 ** 70,
+                                 basis.rows.astype(object) * 2 ** 70)
+            assert big.spans_cosets(cosets), G.origin
+            tampered.append(big)
+        for proved in tampered:
+            changed = NormIdealBasis(G, proved.pivots, proved.denominator,
+                                     proved.rows.copy())
+            changed.rows[rng.integers(basis.dimension), rng.integers(n)] += 1
+            dense = changed.spans(gens.astype(changed.rows.dtype))
+            assert not dense.all(), G.origin
+            assert [changed.spans_cosets([c]) for c in cosets] \
+                == dense.tolist(), G.origin
+
+
+# -- the integer certificate check --------------------------------------------------
+
+def _verify_by_fractions(cert):
+    """The former verify: the Q[G] sum of coeff * N(sub), compared with 1."""
+    total = GroupAlgebraElement(cert.group)
+    for sub, coeff in cert.terms:
+        total = total + coeff * norm_element(sub)
+    return total == GroupAlgebraElement.unit(cert.group)
+
+
+def test_certificate_with_one_changed_coefficient_fails():
+    certified = 0
+    for G in norm_relation_corpus():
+        cert = find_norm_relation(G).certificate
+        if cert is None:
+            continue
+        certified += 1
+        assert cert.verify() and _verify_by_fractions(cert), G.origin
+        for t, (sub, coeff) in enumerate(cert.terms):
+            outside = [g for g in range(G.order) if not coeff.coeffs[g]]
+            for g in coeff.support()[:1] + outside[:1]:
+                changed = GroupAlgebraElement(G, coeff.coeffs)
+                changed.coeffs[g] += Fraction(1, 7)
+                terms = list(cert.terms)
+                terms[t] = (sub, changed)
+                wrong = NormRelationCertificate(G, terms)
+                assert not wrong.verify() and not wrong.verified, G.origin
+                assert not _verify_by_fractions(wrong), G.origin
+    assert certified >= 10
+
+
+def test_certificate_check_with_python_integers():
+    # coefficients of 2**70 push the sum past int64
+    cert = find_norm_relation(klein_four()).certificate
+    G, H = cert.group, cert.terms[0][0]
+    big = Fraction(2 ** 70, 3)
+    terms = cert.terms + [(H, GroupAlgebraElement.of_element(G, 1, big)),
+                          (H, GroupAlgebraElement.of_element(G, 1, -big))]
+    assert NormRelationCertificate(G, terms).verify()
+    terms[-1] = (H, GroupAlgebraElement.of_element(G, 1, 1 - big))
+    assert not NormRelationCertificate(G, terms).verify()
+
+
+def test_certificate_check_rejects_trivial_and_foreign_terms():
+    G = klein_four()
+    unit = GroupAlgebraElement.unit(G)
+    cert = NormRelationCertificate(G, [(Subgroup(G, [0]), unit)])
+    assert not cert.verify() and not cert.verified
+    other = klein_four()
+    with pytest.raises(ParentMismatch):
+        NormRelationCertificate(G, [(Subgroup(other, [0, 1]), unit)]).verify()
