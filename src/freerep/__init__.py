@@ -13,7 +13,6 @@ from .groups import (
     Subgroup,
     all_subgroups,
     build_group,
-    count_nth_roots,
     quotient_group,
     subgroup_generated,
     sylow_subgroup,
@@ -38,10 +37,8 @@ from .classify import (
     odd_core,
 )
 from .normrel import (
-    GroupAlgebraElement,
     NormRelationCertificate,
     find_norm_relation,
-    norm_element,
     partition_relation,
 )
 from .represent import (
@@ -57,7 +54,6 @@ from .represent import (
 __all__ = [
     "ClassificationReport",
     "FreelyRepresentableVerdict",
-    "GroupAlgebraElement",
     "NormRelationCertificate",
     "Representation",
     "build_free_representation",
@@ -66,7 +62,6 @@ __all__ = [
     "induced_representation",
     "is_freely_representable",
     "mcc_subgroup",
-    "norm_element",
     "odd_core",
     "partition_relation",
     "quaternion_embedding_rep",
@@ -79,7 +74,6 @@ __all__ = [
     "Subgroup",
     "all_subgroups",
     "build_group",
-    "count_nth_roots",
     "quotient_group",
     "subgroup_generated",
     "sylow_subgroup",

@@ -345,7 +345,8 @@ def cmd_norm_relation(spec_text: str, as_json: bool) -> str:
     lines = [f"norm relation of unity for {spec.canonical()} "
              f"({len(cert.terms)} terms, verified={cert.verified}):"]
     for sub, coeff in cert.terms:
-        lines.append(f"  [{coeff!r}] * N(subgroup of order {len(sub)})")
+        terms = " + ".join(f"{c}*{G.label(g)}" for g, c in sorted(coeff.items()))
+        lines.append(f"  [{terms}] * N(subgroup of order {len(sub)})")
     return "\n".join(lines)
 
 

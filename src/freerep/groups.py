@@ -15,11 +15,11 @@ import numpy as np
 
 from .cyclotomic import is_prime
 from .errors import (BadParams, CapExceeded, InvariantViolated, NotAGroup,
-                     NotConjugationClosed, NotNormal)
+                     NotNormal)
 from .run import check_deadline, check_order
 
 # default caps on the group order, replaced by the run's cap when it has one
-SUBGROUP_CAP = 2000  # all_subgroups / normal_subgroups enumeration
+SUBGROUP_CAP = 2000  # all_subgroups enumeration
 ORDER_CAP = 6000  # largest Cayley table we agree to build
 BLOCK_ROWS = 256  # table rows handled at a time by the n x n array passes
 
@@ -103,9 +103,6 @@ class Group:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
 
-    def element_order(self, g: int) -> int:
-        return self.element_orders()[g]
-
     def element_orders(self) -> list:
         """Order of every element: step x <- x*g for all pending g at once."""
         if self._orders is None:
@@ -120,9 +117,6 @@ class Group:
                 pending, x = pending[~done], x[~done]
             self._orders = orders.tolist()
         return self._orders
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
 
     def is_cyclic(self) -> bool:
         return self.order in self.element_orders()
@@ -603,10 +597,6 @@ def is_solvable(G: Group) -> bool:
     return len(derived_series(G)[-1]) == 1
 
 
-def is_perfect(G: Group) -> bool:
-    return len(commutator_subgroup(G)) == G.order
-
-
 def perfect_core(G: Group) -> Subgroup:
     """Last term of the derived series (trivial iff solvable)."""
     return derived_series(G)[-1]
@@ -617,11 +607,6 @@ def normal_closure(G: Group, seeds: Iterable[int]) -> Subgroup:
     generated by their conjugacy classes, a conjugation-invariant set."""
     gens = {g for x in seeds for g in G.class_of(int(x))}
     return subgroup_generated(G, sorted(gens))
-
-
-def normal_subgroups(G: Group) -> list:
-    """Normal subgroups, filtered from all_subgroups by conjugation-invariance."""
-    return [H for H in all_subgroups(G) if H.is_normal()]
 
 
 # -- Sylow theory ------------------------------------------------------------
@@ -652,12 +637,6 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
         lift = int(N[np.argmax(~in_P[N] & in_P[power])])
         P = subgroup_generated(G, list(P.elements) + [lift])
     return P
-
-
-def sylow_conjugates(G: Group, P: Subgroup) -> list:
-    """Distinct conjugates of a subgroup (as frozensets)."""
-    out = set(map(frozenset, conjugates(G, P.elements).tolist()))
-    return sorted(out, key=sorted)
 
 
 # -- quotients and homomorphisms ---------------------------------------------
@@ -808,21 +787,3 @@ def embed_sl2(G: Group, elements: Sequence[int], p: int) -> Optional[np.ndarray]
             if phi is not None:
                 return phi
     return None
-
-
-# -- Frobenius counting --------------------------------------------------------
-
-
-def count_nth_roots(G: Group, C: Iterable[int], n: int) -> int:
-    """|{x : x^n in C}| for a conjugation-closed C; a multiple of gcd(n|C|,|G|)."""
-    cset = frozenset(int(x) for x in C)
-    if not cset:
-        return 0
-    if not _normalizing(G, cset).all():
-        raise NotConjugationClosed("set is not closed under conjugation")
-    if n < 1:
-        raise NotAGroup("n must be positive")
-    count = sum(1 for x in range(G.order) if G.power(x, n) in cset)
-    if count % gcd(n * len(cset), G.order):
-        raise InvariantViolated("Frobenius divisibility violated")
-    return count

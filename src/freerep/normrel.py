@@ -1,6 +1,8 @@
-"""Exact rational group-algebra arithmetic and norm-relation-of-unity
-certificates: decide whether 1 lies in the left ideal of Q[G] generated by
-nontrivial subgroup norms, and emit machine-verifiable witnesses.
+"""Norm-relation-of-unity certificates: decide whether 1 lies in the left
+ideal of Q[G] generated by nontrivial subgroup norms, and emit
+machine-verifiable witnesses.  An element of Q[G] is an integer vector of
+length |G| over one denominator; a certificate term is a subgroup and the
+{g: coefficient} map of the nonzero coefficients of its left factor.
 
 The ideal is eliminated modulo a prime below 2**26 and every answer is then
 proved over Q with integer arithmetic: a certificate is reconstructed and
@@ -19,124 +21,40 @@ import numpy as np
 
 from .cyclotomic import is_prime
 from .errors import InvariantViolated, NotAPartition, ParentMismatch
-from .groups import Group, Subgroup, cyclic_subgroups, full_subgroup, left_cosets
+from .groups import Group, cyclic_subgroups, full_subgroup, left_cosets
 from .run import check_deadline, check_order
 
 NORM_RELATION_CAP = 256
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-class GroupAlgebraElement:
-    """Element of Q[G] as a dense length-|G| vector of exact rationals."""
-
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent: Group, coeffs=None):
-        self.parent = parent
-        if coeffs is None:
-            self.coeffs = [ZERO] * parent.order
-        else:
-            self.coeffs = [Fraction(c) for c in coeffs]
-            if len(self.coeffs) != parent.order:
-                raise ParentMismatch("coefficient vector has wrong length")
-
-    @staticmethod
-    def unit(parent: Group) -> "GroupAlgebraElement":
-        x = GroupAlgebraElement(parent)
-        x.coeffs[0] = ONE
-        return x
-
-    @staticmethod
-    def of_element(parent: Group, g: int, coeff=ONE) -> "GroupAlgebraElement":
-        x = GroupAlgebraElement(parent)
-        x.coeffs[g] = Fraction(coeff)
-        return x
-
-    def _check(self, other: "GroupAlgebraElement") -> None:
-        if self.parent is not other.parent:
-            raise ParentMismatch("elements of different group algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(
-            self.parent, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return GroupAlgebraElement(
-            self.parent, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
-        return GroupAlgebraElement(self.parent, [c * a for a in self.coeffs])
-
-    def __mul__(self, other):
-        """Convolution product: sum of x_g y_h on gh."""
-        self._check(other)
-        out = [ZERO] * self.parent.order
-        support = self.support()
-        other_support = other.support()
-        products = self.parent.table[np.ix_(support, other_support)].tolist()
-        for g, row in zip(support, products):
-            cg = self.coeffs[g]
-            for h, gh in zip(other_support, row):
-                out[gh] += cg * other.coeffs[h]
-        return GroupAlgebraElement(self.parent, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgebraElement)
-                and self.parent is other.parent
-                and self.coeffs == other.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def support(self) -> list:
-        return [g for g, c in enumerate(self.coeffs) if c]
-
-    def __repr__(self):
-        terms = [f"{c}*{self.parent.label(g)}"
-                 for g, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) if terms else "0"
-
-
-def norm_element(H: Subgroup) -> GroupAlgebraElement:
-    """N(H): coefficient 1 on each element of H, 0 elsewhere."""
-    x = GroupAlgebraElement(H.parent)
-    for g in H.elements:
-        x.coeffs[g] = ONE
-    return x
-
 
 @dataclass
 class NormRelationCertificate:
     """1 = sum of left_coefficient * N(subgroup), re-verified exactly."""
 
     group: Group
-    terms: list  # of (Subgroup, GroupAlgebraElement)
+    terms: list  # of (Subgroup, {g: nonzero Fraction})
     verified: bool = False
 
     def verify(self) -> bool:
         """Is sum of coeff * N(sub) exactly 1?  Over one common denominator
         L: L * coeff is integer on its support g, and adds to the cells
         g * sub of one integer vector, which must be L at 1 and 0 elsewhere."""
+        n = self.group.order
         for sub, coeff in self.terms:
-            if sub.parent is not self.group or coeff.parent is not self.group:
+            if sub.parent is not self.group:
                 raise ParentMismatch("certificate term bound to wrong group")
+            if not all(g in range(n) for g in coeff):
+                raise ParentMismatch("coefficient key is not an element")
             if len(sub) == 1:
                 self.verified = False
                 return False
         L = lcm(*(c.denominator for _, coeff in self.terms
-                  for c in coeff.coeffs))
+                  for c in coeff.values()))
         scaled = [[(g, c.numerator * (L // c.denominator))
-                   for g, c in enumerate(coeff.coeffs) if c]
+                   for g, c in coeff.items()]
                   for _, coeff in self.terms]
         # |total[x]| is at most the sum of |L * c| over all terms
         mass = sum(abs(a) for pairs in scaled for _, a in pairs)
-        total = np.zeros(self.group.order,
-                         dtype=np.int64 if max(mass, L) < 2 ** 63 else object)
+        total = np.zeros(n, dtype=np.int64 if max(mass, L) < 2 ** 63 else object)
         for (sub, _), pairs in zip(self.terms, scaled):
             if pairs:
                 support, values = zip(*pairs)
@@ -152,11 +70,8 @@ class NormRelationCertificate:
             "terms": [
                 {
                     "subgroup_elements": list(sub.elements),
-                    "coefficient": [
-                        [g, f"{coeff.coeffs[g].numerator}/"
-                            f"{coeff.coeffs[g].denominator}"]
-                        for g in coeff.support()
-                    ],
+                    "coefficient": [[g, f"{c.numerator}/{c.denominator}"]
+                                    for g, c in sorted(coeff.items())],
                 }
                 for sub, coeff in self.terms
             ],
@@ -223,13 +138,6 @@ class NormIdealBasis:
                                       scaled):
                     return False
         return True
-
-    def contains(self, x: GroupAlgebraElement) -> bool:
-        scale = lcm(*(c.denominator for c in x.coeffs))
-        v = np.array([[c.numerator * (scale // c.denominator)
-                       for c in x.coeffs]], dtype=object)
-        return bool(self.spans(v)[0])
-
 
 # Residues stay below 2**26, so a product of two stays below 2**52 and
 # REDUCE_EVERY rank-1 updates of them, left unreduced, stay below 2**62.
@@ -387,8 +295,9 @@ def _proves(basis: NormIdealBasis, stream: list, ech: _Echelon,
     if not basis.spans_cosets([coset for _, _, coset in stream]):
         return False
     # 3. 1 is not in the row space, hence not in J.
-    return not (exclude_unit
-                and basis.contains(GroupAlgebraElement.unit(basis.group)))
+    unit = np.zeros((1, basis.group.order), dtype=basis.rows.dtype)
+    unit[0, 0] = 1
+    return not (exclude_unit and basis.spans(unit)[0])
 
 
 def _certificate(G: Group, subgroups: list, stream: list, chosen: list,
@@ -404,7 +313,7 @@ def _certificate(G: Group, subgroups: list, stream: list, chosen: list,
             return None
         if c:
             ci, g, _ = stream[pos]
-            per_subgroup.setdefault(ci, GroupAlgebraElement(G)).coeffs[g] = c
+            per_subgroup.setdefault(ci, {})[g] = c
     cert = NormRelationCertificate(
         G, [(subgroups[ci], x) for ci, x in per_subgroup.items()])
     return cert if cert.verify() else None
@@ -496,8 +405,8 @@ def partition_relation(G: Group, parts: list) -> NormRelationCertificate:
         raise NotAPartition("parts do not cover the group")
     k = len(parts)
     c = Fraction(1, k - 1)
-    terms = [(P, GroupAlgebraElement.of_element(G, 0, c)) for P in parts]
-    terms.append((full_subgroup(G), GroupAlgebraElement.of_element(G, 0, -c)))
+    terms = [(P, {0: c}) for P in parts]
+    terms.append((full_subgroup(G), {0: -c}))
     cert = NormRelationCertificate(G, terms)
     if not cert.verify():
         raise InvariantViolated("partition relation failed verification")

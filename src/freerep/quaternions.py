@@ -1,6 +1,5 @@
-"""Exact quaternion arithmetic over Q, Q(sqrt 2), Q(sqrt 5); finite
-multiplicative quaternion groups and their classification by the image in
-SO(3), the quotient by {1, -1}.
+"""Exact quaternion arithmetic over Q, Q(sqrt 2), Q(sqrt 5) and the finite
+multiplicative quaternion groups it generates.
 
 Quaternion and QuadFieldElement hold Fractions.  finite_quaternion_group keys
 each element by nine integers instead, (a_w, b_w, ..., a_z, b_z, D) for the
@@ -13,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadParams, InvariantViolated, NotQuaternionGroup, NotUnit
-from .groups import Group, Subgroup, quotient_group, table_from_generators
+from .errors import BadParams, NotUnit
+from .groups import Group, table_from_generators
 from .run import check_order
 
 # Field tags: d=1 means Q; d=2, d=5 the real quadratic fields Q(sqrt d).
@@ -270,52 +269,3 @@ def binary_icosahedral_generators() -> list:
         quat(half, half, half, half, d=5),
         Quaternion(QuadFieldElement.of(0, 5), tau * half, tau_inv * half, half),
     ]
-
-
-# -- classification of the SO(3) image ----------------------------------------
-
-
-@dataclass(frozen=True)
-class So3Identification:
-    kind: str  # cyclic | binary_dihedral | 2T | 2O | 2I
-    parameter: Optional[int]
-    image_order: int
-
-
-def identify_so3_image(G: Group) -> So3Identification:
-    """Classify a quaternion-realized group by its rotation image."""
-    if G.quaternions is None:
-        raise NotQuaternionGroup("group carries no quaternion labels")
-    quats = G.quaternions
-    minus_one = None
-    for idx, q in enumerate(quats):
-        if (q.w.a, q.w.b) == (-1, 0) and q.x.is_zero() and q.y.is_zero() \
-                and q.z.is_zero():
-            minus_one = idx
-            break
-    if minus_one is None:
-        image = G  # injective on groups without -1 (odd order)
-    else:
-        kernel = Subgroup(G, [0, minus_one])
-        image, _ = quotient_group(G, kernel)
-    return So3Identification(*_classify_so3(image), image_order=image.order)
-
-
-def _classify_so3(L: Group) -> tuple:
-    n = L.order
-    orders = sorted(L.element_orders())
-    if L.is_cyclic():
-        return ("cyclic", n)
-    if n == 12 and orders.count(3) == 8:
-        return ("2T", None)
-    if n == 24 and orders.count(3) == 8 and orders.count(4) == 6:
-        return ("2O", None)
-    if n == 60 and orders.count(5) == 24:
-        return ("2I", None)
-    if n % 2 == 0 and n >= 4:
-        m = n // 2
-        if m in orders:
-            if orders.count(2) != (m if m % 2 else m + 1):
-                raise InvariantViolated("dihedral involution census mismatch")
-            return ("binary_dihedral", m)
-    raise NotQuaternionGroup(f"image of order {n} is not a finite SO(3) subgroup")

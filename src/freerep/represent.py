@@ -27,7 +27,7 @@ from .errors import (
     NotFaithful,
     NotFreelyRepresentable,
 )
-from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi, is_prime
+from .cyclotomic import cyclotomic_polynomial, euler_phi, is_prime
 from .groups import (
     Group,
     Homomorphism,
@@ -103,7 +103,7 @@ def _mult_blocks(num: np.ndarray, n: int) -> np.ndarray:
 class RepMatrix:
     """Matrices over Q(zeta_n): integer numerators of shape (..., d, d, phi(n))
     on the power basis, over one positive integer denominator.  A stack of
-    shape (N, d, d, phi) indexes and iterates like a list of N matrices."""
+    shape (N, d, d, phi) indexes like a list of N matrices."""
 
     __slots__ = ("conductor", "num", "den")
 
@@ -145,18 +145,6 @@ class RepMatrix:
             index = np.asarray(index, dtype=np.intp)
         return RepMatrix(self.conductor, self.num[index], self.den)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def entries(self) -> list:
-        """The entries of a single matrix, as CyclotomicNumbers."""
-        if self.num.ndim != 3:
-            raise TypeError("entries are read from a single matrix")
-        return [[CyclotomicNumber(self.conductor,
-                                  [Fraction(c, self.den) for c in coeffs])
-                 for coeffs in row] for row in self.num.tolist()]
-
     def _check(self, other: "RepMatrix") -> None:
         if self.conductor != other.conductor:
             raise BadConductor(
@@ -192,14 +180,6 @@ class RepMatrix:
         dtype = _exact_dtype(ka * _max_abs(self.num) + kb * _max_abs(other.num))
         return (self.num.astype(dtype) * ka, other.num.astype(dtype) * kb, den)
 
-    def __add__(self, other: "RepMatrix") -> "RepMatrix":
-        a, b, den = self._common(other)
-        return RepMatrix(self.conductor, a + b, den)
-
-    def __sub__(self, other: "RepMatrix") -> "RepMatrix":
-        a, b, den = self._common(other)
-        return RepMatrix(self.conductor, a - b, den)
-
     def __eq__(self, other):
         if (not isinstance(other, RepMatrix)
                 or self.conductor != other.conductor
@@ -207,35 +187,6 @@ class RepMatrix:
             return False
         a, b, _ = self._common(other)
         return bool(np.array_equal(a, b))
-
-    def is_zero(self) -> bool:
-        return not np.any(self.num)
-
-    def det(self) -> CyclotomicNumber:
-        """Exact determinant of a single matrix by fraction-full Gaussian
-        elimination over CyclotomicNumber (the freeness tests' reference for
-        verify_free's norm-sum criterion)."""
-        m = self.entries
-        d = self.degree
-        det = CyclotomicNumber.one(self.conductor)
-        sign = 1
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if not m[r][col].is_zero()),
-                         None)
-            if pivot is None:
-                return CyclotomicNumber.zero(self.conductor)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                sign = -sign
-            pv = m[col][col]
-            det = det * pv
-            pv_inv = pv.inverse()
-            for r in range(col + 1, d):
-                f = m[r][col] * pv_inv
-                if f.is_zero():
-                    continue
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-        return det * Fraction(sign)
 
 
 @dataclass
@@ -457,16 +408,6 @@ def tensor_product_rep(rep_a: Representation, rep_b: Representation,
 
 
 # -- helpers -----------------------------------------------------------------------
-
-
-def restrict(rep: Representation, H: Subgroup) -> Representation:
-    """Restriction to a subgroup, over the subgroup's standalone Group."""
-    if H.parent is not rep.group:
-        raise NotAGroup("subgroup bound to a different group")
-    out = Representation(H.as_group(), rep.degree, rep.conductor,
-                         rep.images[H.elements])
-    out.validate()
-    return out
 
 
 def prime_order_hull(G: Group) -> Subgroup:

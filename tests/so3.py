@@ -1,14 +1,17 @@
 """The double cover of the unit quaternions onto SO(3), as exact rotation
 matrices, a unit icosian of order 10 and the binary dihedral generators
 with exact roots of unity: the tests check the classification of finite
-quaternion groups against them."""
+quaternion groups against them.  identify_so3_image classifies a
+quaternion-realized group by its image in SO(3), the quotient by {1, -1}."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from freerep.errors import BadParams, InvariantViolated, NotUnit
+from freerep.errors import BadParams, InvariantViolated, NotQuaternionGroup, NotUnit
+from freerep.groups import Group, Subgroup, quotient_group
 from freerep.quaternions import I, J, K, QuadFieldElement, Quaternion, _coerce, quat
 
 
@@ -94,3 +97,52 @@ def binary_dihedral_generators(n: int) -> list:
         return [quat(s, s, 0, 0, d=2), J]
     raise BadParams(f"zeta_{2 * n} is not exactly representable over Q, "
                     "Q(sqrt 2), or Q(sqrt 5)")
+
+
+# -- classification of the SO(3) image ----------------------------------------
+
+
+@dataclass(frozen=True)
+class So3Identification:
+    kind: str  # cyclic | binary_dihedral | 2T | 2O | 2I
+    parameter: Optional[int]
+    image_order: int
+
+
+def identify_so3_image(G: Group) -> So3Identification:
+    """Classify a quaternion-realized group by its rotation image."""
+    if G.quaternions is None:
+        raise NotQuaternionGroup("group carries no quaternion labels")
+    quats = G.quaternions
+    minus_one = None
+    for idx, q in enumerate(quats):
+        if (q.w.a, q.w.b) == (-1, 0) and q.x.is_zero() and q.y.is_zero() \
+                and q.z.is_zero():
+            minus_one = idx
+            break
+    if minus_one is None:
+        image = G  # injective on groups without -1 (odd order)
+    else:
+        kernel = Subgroup(G, [0, minus_one])
+        image, _ = quotient_group(G, kernel)
+    return So3Identification(*_classify_so3(image), image_order=image.order)
+
+
+def _classify_so3(L: Group) -> tuple:
+    n = L.order
+    orders = sorted(L.element_orders())
+    if L.is_cyclic():
+        return ("cyclic", n)
+    if n == 12 and orders.count(3) == 8:
+        return ("2T", None)
+    if n == 24 and orders.count(3) == 8 and orders.count(4) == 6:
+        return ("2O", None)
+    if n == 60 and orders.count(5) == 24:
+        return ("2I", None)
+    if n % 2 == 0 and n >= 4:
+        m = n // 2
+        if m in orders:
+            if orders.count(2) != (m if m % 2 else m + 1):
+                raise InvariantViolated("dihedral involution census mismatch")
+            return ("binary_dihedral", m)
+    raise NotQuaternionGroup(f"image of order {n} is not a finite SO(3) subgroup")

@@ -10,14 +10,11 @@ from collections import Counter
 import pytest
 
 from corpus import sd_triples
+from group_theory import is_abelian, normal_subgroups
 from isomorphism import is_isomorphic
 from freerep.cyclotomic import prime_factors
 from freerep.errors import NotCycloidal, NotSylowCyclic
-from freerep.groups import (
-    all_subgroups,
-    build_group,
-    normal_subgroups,
-)
+from freerep.groups import all_subgroups, build_group
 from freerep.constructors import (
     binary_polyhedral,
     cyclic,
@@ -378,7 +375,7 @@ def test_abelian_subgroups_cyclic_iff_cycloidal():
         abelian_all_cyclic = all(
             H.as_group().is_cyclic()
             for H in all_subgroups(G)
-            if H.as_group().is_abelian()
+            if is_abelian(H.as_group())
         )
         assert cycloidal == abelian_all_cyclic, G.origin
 

@@ -343,6 +343,20 @@ CLI_STDOUT_SHA256 = {
         "3e22017320f2ee94e842ecde882aacee8c22dc51ae65e9ad7a80be2073069b86",
     (("norm-relation", "prod(C2,C2)"), "text"):
         "eed9111a86d4a31331385f954fda711291c37d8a9e213395ca89d15b22133b4f",
+    # recorded while certificate terms were dense Q[G] vectors: the other
+    # certificates of the benchmark's certify workload
+    (("norm-relation", "D64"), "json"):
+        "5d81f1df5bcd151bc7680e8ef7248aaa2d33179412ade927261c85f925805aff",
+    (("norm-relation", "D64"), "text"):
+        "8da15f2420f6987045ea828cad4d6810a6be66aaefa311420ed1e5332ea6c5bd",
+    (("norm-relation", "prod(C3,C3)"), "json"):
+        "847606e92dfbe6d5d6769c93adc391a3baab0f1b45751b55a10a489390c183c6",
+    (("norm-relation", "prod(C3,C3)"), "text"):
+        "f4ad588311cddf2a7808aee013bb8bfce2648b750b17556f553d0a17ce9cd8a5",
+    (("norm-relation", "sd(35,3,11)"), "json"):
+        "31120f339534090874c850efa538d855e899094973c9ad122f95584491e5d23f",
+    (("norm-relation", "sd(35,3,11)"), "text"):
+        "8c8e605b9d01ab1a997ba6a9af066d0d6da551d4d8da18378e22d05ed9f070c8",
     (("norm-relation", "Q8"), "json"):
         "76ca9f4cb31e8a67f1bc563489956efbe39f921127d0674f46665d33c97bca93",
     (("norm-relation", "Q8"), "text"):

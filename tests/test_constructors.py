@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from group_theory import element_order, is_abelian, normal_subgroups
 from isomorphism import is_isomorphic
 from freerep.errors import BadParams, BadSize, CapExceeded
 from freerep.groups import (
     commutator_subgroup,
-    normal_subgroups,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -75,7 +75,7 @@ def test_generalized_quaternion_rejects_bad_size():
 def test_sd_21_nonabelian():
     G = sd(7, 3, 2)
     assert G.order == 21
-    assert not G.is_abelian()
+    assert not is_abelian(G)
     assert len(commutator_subgroup(G)) == 7
 
 
@@ -165,7 +165,7 @@ def test_binary_octahedral():
 def test_binary_tetrahedral_four_c3s_none_normal():
     G = binary_polyhedral("2T")
     threes = {subgroup_generated(G, [g]).elset
-              for g in G.elements() if G.element_order(g) == 3}
+              for g in G.elements() if element_order(G, g) == 3}
     assert len(threes) == 4
     assert all(len(N) != 3 for N in normal_subgroups(G))
 

@@ -1,4 +1,5 @@
-"""Exact cyclotomic field arithmetic."""
+"""Cyclotomic polynomials, phi and primality, and the Fraction-object
+Q(zeta_n) the tests use as an oracle."""
 
 from __future__ import annotations
 
@@ -6,13 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from exact_fields import CyclotomicNumber
 from freerep.errors import BadConductor, BadParams
-from freerep.cyclotomic import (
-    CyclotomicNumber,
-    cyclotomic_polynomial,
-    euler_phi,
-    is_prime,
-)
+from freerep.cyclotomic import cyclotomic_polynomial, euler_phi, is_prime
 
 
 def _is_prime_by_trial_division(p):

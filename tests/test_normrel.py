@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 
 from corpus import norm_relation_corpus, structural_corpus
+from exact_fields import GroupAlgebraElement, contains, element, norm_element, sparse
+from group_theory import element_order
 from freerep import normrel
 from freerep.cyclotomic import is_prime
 from freerep.errors import NotAPartition, ParentMismatch
@@ -33,11 +35,9 @@ from freerep.constructors import (
     sl2,
 )
 from freerep.normrel import (
-    GroupAlgebraElement,
     NormIdealBasis,
     NormRelationCertificate,
     find_norm_relation,
-    norm_element,
     norm_ideal,
     partition_relation,
 )
@@ -150,9 +150,9 @@ def test_wada_relation_verifies():
     G, s1, (H1, H2, H3) = _klein_with_subgroups()
     half = Fraction(1, 2)
     cert = NormRelationCertificate(G, [
-        (H1, GroupAlgebraElement.of_element(G, 0, half)),
-        (H2, GroupAlgebraElement.of_element(G, 0, half)),
-        (H3, GroupAlgebraElement.of_element(G, s1, -half)),
+        (H1, {0: half}),
+        (H2, {0: half}),
+        (H3, {s1: -half}),
     ])
     assert cert.verify()
 
@@ -162,9 +162,9 @@ def test_wada_relation_with_unit_in_place_of_sigma_fails():
     G, s1, (H1, H2, H3) = _klein_with_subgroups()
     half = Fraction(1, 2)
     cert = NormRelationCertificate(G, [
-        (H1, GroupAlgebraElement.of_element(G, 0, half)),
-        (H2, GroupAlgebraElement.of_element(G, 0, half)),
-        (H3, GroupAlgebraElement.of_element(G, 0, -half)),
+        (H1, {0: half}),
+        (H2, {0: half}),
+        (H3, {0: -half}),
     ])
     assert not cert.verify()
 
@@ -183,13 +183,11 @@ def test_parry_relation_verifies():
     # 3*1 = N H1 + N H2 + N H3 - (sigma + sigma tau) N H4
     G, sigma, tau, (H1, H2, H3, H4) = _c3xc3_lines()
     third = Fraction(1, 3)
-    mix = GroupAlgebraElement(G)
-    mix.coeffs[sigma] = -third
-    mix.coeffs[G.mul(sigma, tau)] = -third
+    mix = {sigma: -third, G.mul(sigma, tau): -third}
     cert = NormRelationCertificate(G, [
-        (H1, GroupAlgebraElement.of_element(G, 0, third)),
-        (H2, GroupAlgebraElement.of_element(G, 0, third)),
-        (H3, GroupAlgebraElement.of_element(G, 0, third)),
+        (H1, {0: third}),
+        (H2, {0: third}),
+        (H3, {0: third}),
         (H4, mix),
     ])
     assert cert.verify()
@@ -199,8 +197,8 @@ def test_c3xc3_simple_relation_verifies():
     # 3*1 = N H1 + N H2 + N H3 + N H4 - N G
     G, _, _, lines = _c3xc3_lines()
     third = Fraction(1, 3)
-    terms = [(H, GroupAlgebraElement.of_element(G, 0, third)) for H in lines]
-    terms.append((Subgroup(G, range(9)), GroupAlgebraElement.of_element(G, 0, -third)))
+    terms = [(H, {0: third}) for H in lines]
+    terms.append((Subgroup(G, range(9)), {0: -third}))
     assert NormRelationCertificate(G, terms).verify()
 
 
@@ -218,7 +216,7 @@ def test_partition_dihedral3():
     G = dihedral(3)
     rot = subgroup_generated(G, [1])
     refls = [subgroup_generated(G, [g]) for g in G.elements()
-             if G.element_order(g) == 2]
+             if element_order(G, g) == 2]
     cert = partition_relation(G, [rot] + refls)
     assert cert.verified
 
@@ -227,7 +225,7 @@ def test_partition_order21():
     G = sd(7, 3, 2)
     A = subgroup_generated(G, [G.labels.index("a^1b^0")])
     threes = {subgroup_generated(G, [g]).elset
-              for g in G.elements() if G.element_order(g) == 3}
+              for g in G.elements() if element_order(G, g) == 3}
     parts = [A] + [Subgroup(G, s) for s in threes]
     assert len(parts) == 8
     cert = partition_relation(G, parts)
@@ -253,7 +251,7 @@ def test_two_sidedness_spot_check():
     nh = norm_element(H)
     for g in (1, 5):
         prod = nh * GroupAlgebraElement.of_element(G, g)
-        assert basis.contains(prod)
+        assert contains(basis, prod)
 
 
 @pytest.mark.parametrize("G", [dihedral(4), generalized_quaternion(8),
@@ -265,7 +263,7 @@ def test_prime_order_generator_reduction_lossless(G):
     for H in all_subgroups(G):
         if len(H) == 1:
             continue
-        assert basis.contains(norm_element(H)), \
+        assert contains(basis, norm_element(H)), \
             f"N(H) outside prime-cyclic ideal for |H|={len(H)}"
 
 
@@ -435,8 +433,8 @@ def _oracle(G):
         ci, g = basis.generators[gen_index]
         bucket = per_subgroup.setdefault(ci, GroupAlgebraElement(G))
         bucket.coeffs[g] += coeff
-    terms = [(basis.subgroups[ci], coeff) for ci, coeff in per_subgroup.items()
-             if not coeff.is_zero()]
+    terms = [(basis.subgroups[ci], sparse(coeff))
+             for ci, coeff in per_subgroup.items() if not coeff.is_zero()]
     cert = NormRelationCertificate(G, terms)
     assert cert.verify()
     return cert, G.order
@@ -671,7 +669,7 @@ def _verify_by_fractions(cert):
     """The former verify: the Q[G] sum of coeff * N(sub), compared with 1."""
     total = GroupAlgebraElement(cert.group)
     for sub, coeff in cert.terms:
-        total = total + coeff * norm_element(sub)
+        total = total + element(cert.group, coeff) * norm_element(sub)
     return total == GroupAlgebraElement.unit(cert.group)
 
 
@@ -684,12 +682,13 @@ def test_certificate_with_one_changed_coefficient_fails():
         certified += 1
         assert cert.verify() and _verify_by_fractions(cert), G.origin
         for t, (sub, coeff) in enumerate(cert.terms):
+            coeff = element(G, coeff)
             outside = [g for g in range(G.order) if not coeff.coeffs[g]]
             for g in coeff.support()[:1] + outside[:1]:
                 changed = GroupAlgebraElement(G, coeff.coeffs)
                 changed.coeffs[g] += Fraction(1, 7)
                 terms = list(cert.terms)
-                terms[t] = (sub, changed)
+                terms[t] = (sub, sparse(changed))
                 wrong = NormRelationCertificate(G, terms)
                 assert not wrong.verify() and not wrong.verified, G.origin
                 assert not _verify_by_fractions(wrong), G.origin
@@ -701,18 +700,32 @@ def test_certificate_check_with_python_integers():
     cert = find_norm_relation(klein_four()).certificate
     G, H = cert.group, cert.terms[0][0]
     big = Fraction(2 ** 70, 3)
-    terms = cert.terms + [(H, GroupAlgebraElement.of_element(G, 1, big)),
-                          (H, GroupAlgebraElement.of_element(G, 1, -big))]
+    terms = cert.terms + [(H, {1: big}), (H, {1: -big})]
     assert NormRelationCertificate(G, terms).verify()
-    terms[-1] = (H, GroupAlgebraElement.of_element(G, 1, 1 - big))
+    terms[-1] = (H, {1: 1 - big})
     assert not NormRelationCertificate(G, terms).verify()
 
 
 def test_certificate_check_rejects_trivial_and_foreign_terms():
     G = klein_four()
-    unit = GroupAlgebraElement.unit(G)
+    unit = {0: Fraction(1)}
     cert = NormRelationCertificate(G, [(Subgroup(G, [0]), unit)])
     assert not cert.verify() and not cert.verified
     other = klein_four()
     with pytest.raises(ParentMismatch):
         NormRelationCertificate(G, [(Subgroup(other, [0, 1]), unit)]).verify()
+
+
+@pytest.mark.parametrize("key", [-1, 4])
+def test_certificate_check_rejects_keys_outside_the_group(key):
+    # the last klein term is -1/2 * 2 * N({0, 1}), and 3 * {0, 1} is the same
+    # coset, so numpy, reading key -1 as element 3, would pass the
+    # certificate; key 4 = |G| lies past the table
+    cert = find_norm_relation(klein_four()).certificate
+    G, (*kept, (sub, coeff)) = cert.group, cert.terms
+    assert sub.elements == (0, 1) and coeff == {2: Fraction(-1, 2)}
+    assert NormRelationCertificate(G, [*kept, (sub, {3: coeff[2]})]).verify()
+    wrong = NormRelationCertificate(G, [*kept, (sub, {key: coeff[2]})])
+    with pytest.raises(ParentMismatch):
+        wrong.verify()
+    assert not wrong.verified

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from group_theory import count_nth_roots, element_order
 from isomorphism import inverse_map, is_isomorphic
 from freerep.cli import survey210
 from freerep.errors import CapExceeded, DeadlineExceeded, NotAGroup
@@ -22,7 +23,6 @@ from freerep.groups import (
     _validate_table,
     all_subgroups,
     commutator_of_subgroup,
-    count_nth_roots,
     full_subgroup,
     normal_closure,
     normalizer,
@@ -66,7 +66,7 @@ def test_odd_pgroup_with_unique_prime_subgroup_is_cyclic():
                 continue
             HG = H.as_group()
             prime_subs = {frozenset(subgroup_generated(HG, [g]).elements)
-                          for g in HG.elements() if HG.element_order(g) == p}
+                          for g in HG.elements() if element_order(HG, g) == p}
             if len(prime_subs) == 1:
                 assert HG.is_cyclic(), f"{G.origin}: order-{size} subgroup"
 
@@ -216,7 +216,7 @@ def _perturbed_tables():
     for _ in range(300):
         G = rng.choice(groups)
         table = G.table.copy()
-        involutions = [t for t in range(G.order) if G.element_order(t) == 2]
+        involutions = [t for t in range(G.order) if element_order(G, t) == 2]
         for _ in range(rng.randint(1, 3)):
             t = rng.choice(involutions)
             r1, c1 = (rng.choice([g for g in range(1, G.order) if g != t])
@@ -423,5 +423,5 @@ def test_sd_mu_equals_a_times_kernel():
     mu = mcc_subgroup(G)
     assert len(mu) == 21  # |A| * |K| = 7 * 3
     # K is the unique subgroup of order 3 inside mu
-    orders = [G.element_order(g) for g in mu.elements]
+    orders = [element_order(G, g) for g in mu.elements]
     assert sorted(set(orders)) == [1, 3, 7, 21]

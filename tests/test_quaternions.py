@@ -9,7 +9,13 @@ import pytest
 from isomorphism import is_isomorphic
 from freerep.errors import BadParams, NotQuaternionGroup, NotUnit
 from freerep.constructors import cyclic, generalized_quaternion, sl2
-from so3 import binary_dihedral_generators, is_one, order10_icosian, rotation_of
+from so3 import (
+    binary_dihedral_generators,
+    identify_so3_image,
+    is_one,
+    order10_icosian,
+    rotation_of,
+)
 from freerep.quaternions import (
     I,
     J,
@@ -20,7 +26,6 @@ from freerep.quaternions import (
     binary_octahedral_generators,
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
-    identify_so3_image,
     quat,
 )
 

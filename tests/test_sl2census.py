@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from group_theory import element_order
 from sl2_theory import (
     census_partition_identity,
     conjugacy_and_normals_check,
@@ -62,10 +63,10 @@ def test_trichotomy(p):
 def test_trichotomy_instances():
     G = sl2_group(5)
     unipotent = sl2_elements(5)[0].index((1, 1, 0, 1))
-    assert G.element_order(unipotent) == 5  # one eigenvalue, order | 2p = 10
+    assert element_order(G, unipotent) == 5  # one eigenvalue, order | 2p = 10
     G7 = sl2_group(7)
     diag = sl2_elements(7)[0].index((2, 0, 0, 4))  # 2*4 = 8 = 1 mod 7
-    assert (7 - 1) % G7.element_order(diag) == 0  # two eigenvalues
+    assert (7 - 1) % element_order(G7, diag) == 0  # two eigenvalues
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
