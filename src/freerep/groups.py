@@ -8,12 +8,12 @@ are immutable after construction and safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import is_prime
+from .cyclotomic import is_prime, prime_factors
 from .errors import (BadParams, CapExceeded, InvariantViolated, NotAGroup,
                      NotNormal)
 from .run import check_deadline, check_order
@@ -85,17 +85,15 @@ class Group:
         """g * x * g^-1."""
         return int(self.table[self.table[g, x], self.inverse[g]])
 
-    def power(self, g: int, k: int) -> int:
+    def power(self, g, k: int):
+        """g^k by squaring, for an element g or an array of them."""
         if k < 0:
-            g, k = self.inv(g), -k
-        result, base = 0, g
-        row = self.table
-        while k:
-            if k & 1:
-                result = int(row[result, base])
-            base = int(row[base, base])
-            k >>= 1
-        return result
+            g, k = self.inverse[g], -k
+        result, base = np.zeros_like(g), g
+        for bit in bin(k)[:1:-1]:
+            result = self.table[result, base] if bit == "1" else result
+            base = self.table[base, base]
+        return result if np.ndim(g) else int(result)
 
     def elements(self) -> range:
         return range(self.order)
@@ -129,34 +127,22 @@ class Group:
         return self._generators
 
     def exponent_generator(self) -> Optional[int]:
-        """Some element of full order, if the group is cyclic."""
-        orders = self.element_orders()
-        for g in range(self.order):
-            if orders[g] == self.order:
-                return g
-        return None
+        """The least element of full order, if the group is cyclic."""
+        return self.element_orders().index(self.order) if self.is_cyclic() else None
 
     # -- conjugacy ---------------------------------------------------------
 
     def conjugacy_classes(self) -> list:
-        """Conjugacy classes as sorted tuples, ordered by minimum element."""
+        """Conjugacy classes as sorted tuples, ordered by minimum element: the
+        orbits of the conjugations x -> s * x * s^-1 by the generators s."""
         if self._classes is None:
-            n = self.order
-            table, inv = self.table, self.inverse
-            seen = np.zeros(n, dtype=bool)
-            class_index = np.full(n, -1, dtype=np.int32)
-            classes = []
-            for x in range(n):
-                if seen[x]:
-                    continue
-                hit = np.zeros(n, dtype=bool)
-                hit[table[table[:, x], inv]] = True
-                orbit = np.flatnonzero(hit)
-                seen[orbit] = True
-                class_index[orbit] = len(classes)
-                classes.append(tuple(int(v) for v in orbit))
-            self._classes = classes
-            self._class_index = class_index
+            label = _orbit_labels(self.order, [self.table[self.table[s], self.inverse[s]]
+                                               for s in self.generators()])
+            least = np.flatnonzero(label == np.arange(self.order))
+            self._class_index = np.searchsorted(least, label).astype(np.int32)
+            members = np.argsort(label, kind="stable").tolist()
+            ends = np.cumsum(np.bincount(self._class_index)).tolist()
+            self._classes = [tuple(members[a:b]) for a, b in zip([0] + ends, ends)]
         return self._classes
 
     def class_of(self, g: int) -> tuple:
@@ -279,6 +265,21 @@ def _levels(perms: np.ndarray):
         raise InvariantViolated(f"generators reach {int(seen.sum())} of {n} elements")
 
 
+def _orbit_labels(n: int, perms) -> np.ndarray:
+    """The least element of each x's orbit under the permutations perms of
+    0..n-1, at x: each edge x -> p(x) hooks the larger of its two labels onto
+    the smaller, then labels jump to their roots, until no edge joins two."""
+    label, before = np.arange(n), None
+    while not np.array_equal(label, before):
+        check_deadline()
+        before = label.copy()
+        for p in perms:
+            np.minimum.at(label, np.maximum(label, label[p]), np.minimum(label, label[p]))
+        while not np.array_equal(up := label[label], label):
+            label = up
+    return label
+
+
 def table_from_generators(perms: np.ndarray) -> np.ndarray:
     """The Cayley table from the left multiplications by generators g_j
     (perms[j][x] is the index of g_j * x, 0 the identity): row g_j * a is
@@ -384,7 +385,9 @@ class Subgroup:
         return f"Subgroup(order={len(self)}, of={self.parent.origin})"
 
     def is_normal(self) -> bool:
-        return bool(_normalizing(self.parent, self.elements).all())
+        """Is s * h * s^-1 in H for the generators s of G and every h in H?
+        Then so is g * h * g^-1 for every g, by induction on word length."""
+        return bool(_normalizing(self.parent, self.elements, self.parent.generators()).all())
 
     def as_group(self) -> Group:
         """Standalone Group on this subgroup's elements (index 0 stays identity),
@@ -457,17 +460,18 @@ def subgroup_generated(G: Group, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, sorted(closed), validate=False)
 
 
-def conjugates(G: Group, elems: Sequence[int]) -> np.ndarray:
-    """The array whose row g holds g * x * g^-1 for each x in elems."""
+def conjugates(G: Group, elems: Sequence[int], by=slice(None)) -> np.ndarray:
+    """Row i holds g * x * g^-1 for each x in elems, g = by[i] (g = i by default)."""
+    check_deadline()
     table = G.table
-    return table[table[:, list(elems)], G.inverse[:, None]]
+    return table[table[by][:, list(elems)], G.inverse[by][:, None]]
 
 
-def _normalizing(G: Group, elems: Sequence[int]) -> np.ndarray:
-    """The mask of the g with g * x * g^-1 in elems for every x in elems."""
+def _normalizing(G: Group, elems: Sequence[int], by=slice(None)) -> np.ndarray:
+    """Per g = by[i]: is g * x * g^-1 in elems for every x in elems?"""
     mask = np.zeros(G.order, dtype=bool)
     mask[list(elems)] = True
-    return mask[conjugates(G, elems)].all(axis=1)
+    return mask[conjugates(G, elems, by)].all(axis=1)
 
 
 def left_cosets(G: Group, elems: Sequence[int]) -> tuple:
@@ -480,19 +484,35 @@ def left_cosets(G: Group, elems: Sequence[int]) -> tuple:
 
 
 def cyclic_subgroups(G: Group) -> list:
-    """All cyclic subgroups once each, by least generator: the powers of all
-    elements of order d at once, kept at g if g is its least power g^k, (k, d) = 1."""
-    orders = np.array(G.element_orders())
+    """All cyclic subgroups once each, by least generator: the generators x^k,
+    (k, |x|) = 1, of <x> are the orbit of x under x -> x^k for k generating the
+    units mod the exponent.  Then g^(m + j) = g^j * g^m doubles m up to |g| - 1."""
+    orders, every = np.array(G.element_orders()), np.arange(G.order)
+    maps = [G.power(every, k) for k in _unit_generators(lcm(*orders.tolist()))]
+    least = np.flatnonzero(_orbit_labels(G.order, maps) == every)
     found = {0: trivial_subgroup(G)}
-    for d in set(G.element_orders()) - {1}:
-        powers = [np.flatnonzero(orders == d)]
-        for _ in range(d - 2):
-            powers.append(G.table[powers[-1], powers[0]])
-        powers = np.stack(powers, axis=1)  # one row g, g^2, ..., g^(d-1) per g
-        least = powers[:, [k - 1 for k in range(1, d) if gcd(k, d) == 1]].min(axis=1)
-        for row in powers[least == powers[:, 0]].tolist():
+    for d in set(orders[least].tolist()) - {1}:
+        powers = least[orders[least] == d, None]  # the column g^1
+        while powers.shape[1] < d - 1:
+            check_deadline()
+            m = powers.shape[1]
+            powers = np.hstack([powers, G.table[powers[:, :d - 1 - m], powers[:, m - 1:m]]])
+        for row in powers.tolist():
             found[row[0]] = Subgroup(G, [0, *row], validate=False)
     return [found[g] for g in sorted(found)]
+
+
+def _unit_generators(e: int) -> set:
+    """Units generating the units mod e: per prime power q of e, k = 1 mod e/q
+    and k = -1, 5 mod q if q is even, else g, g + p mod q, g a primitive root mod p."""
+    gens = set()
+    for p in prime_factors(e):
+        q = gcd(e, p ** e.bit_length())  # p^a exactly dividing e: g or g + p generates
+        g = next(g for g in range(2, p + 1)
+                 if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1)))
+        gens |= {1 + e // q * ((r - 1) * pow(e // q, -1, q) % q)
+                 for r in ([-1, 5] if p == 2 else [g, g + p])}
+    return gens - {1}
 
 
 def all_subgroups(G: Group) -> list:
@@ -545,6 +565,7 @@ def normalizer(G: Group, H: Subgroup) -> Subgroup:
 
 
 def centralizer(G: Group, elems: Iterable[int]) -> Subgroup:
+    check_deadline()
     targets = list(dict.fromkeys(int(x) for x in elems))
     table = G.table
     commute = (table[:, targets] == table[targets].T).all(axis=1)
@@ -553,9 +574,7 @@ def centralizer(G: Group, elems: Iterable[int]) -> Subgroup:
 
 def center(G: Group) -> Subgroup:
     if G._center is None:
-        eq = G.table == G.table.T
-        G._center = Subgroup(G, [int(g) for g in np.nonzero(eq.all(axis=1))[0]],
-                             validate=False)
+        G._center = centralizer(G, G.generators())
     return G._center
 
 

@@ -42,7 +42,8 @@ class NormRelationCertificate:
         for sub, coeff in self.terms:
             if sub.parent is not self.group:
                 raise ParentMismatch("certificate term bound to wrong group")
-            if not all(g in range(n) for g in coeff):
+            if not all(isinstance(g, (int, np.integer)) and not isinstance(g, bool)
+                       and 0 <= g < n for g in coeff):
                 raise ParentMismatch("coefficient key is not an element")
             if len(sub) == 1:
                 self.verified = False

@@ -391,6 +391,55 @@ CLI_STDOUT_SHA256 = {
         "433c72df450eca6b578831319e1e15aa61054534ba2ad534a4410fbcc76432c2",
     (("analyze", "SL2(11)"), "text"):
         "4c7973b2fd7aa2f6d60c20cd3fd73c5c2e21c10d09ca473ae648c231219d602b",
+    # recorded at the parent of the generator-orbit kernels (conjugacy classes,
+    # normality, center, cyclic subgroups): the other analyze calls of the
+    # benchmark's decide workload, and the order-4896 sd(17,288,3)
+    (("analyze", "C200"), "json"):
+        "e75d07fcfff86a4d8990a4db4704c9ef168a2f1b05f3fb9fc746208d8f67a110",
+    (("analyze", "C200"), "text"):
+        "1b67e4fe7c349d84f269acb1528fea6a53c258ad7d32765b7c60fabde1665adf",
+    (("analyze", "D100"), "json"):
+        "87bf763372c79043b0308eced559b8ef82c53d770b29be78eb041bcaba8133e7",
+    (("analyze", "D100"), "text"):
+        "e3b265fd8c8310d25777854ec1bbeb676580d015e02e4b70fee358d0979409c7",
+    (("analyze", "Q128"), "json"):
+        "f07813da6c3e3bd89344c7e718c7416c9f18fa982860a4671333aa08583f542c",
+    (("analyze", "Q128"), "text"):
+        "244f27e3273a4a4faf146d63237c10bf86bb9c41b2169aef593ff286e99c23be",
+    (("analyze", "2D25"), "json"):
+        "9c2c63907badd29d63d56f97f1441c8ab6b66d171119ec4d3988391e0b50e565",
+    (("analyze", "2D25"), "text"):
+        "dfe1ba1d7023870e5b06c7028435ed081cf87296170b3daf69fc5d44665d8d2b",
+    (("analyze", "sd(7,9,2)"), "json"):
+        "11c6f38bd0fb802534a5bf9b679b2c4bea9dc6af563d981ae6074b9193588324",
+    (("analyze", "sd(7,9,2)"), "text"):
+        "1a4b349263b769be7f71d5e8c09c8ac7e369b5a9a313a1fccb766308692d9a26",
+    (("analyze", "sd(49,3,18)"), "json"):
+        "90d4aa363cf7b5f5f1f2312406b9a036de594fa8e801ba20c6bda4d84f61d145",
+    (("analyze", "sd(49,3,18)"), "text"):
+        "de76e6182d1390c782f02343917741f2439b737e14a9b928997caa20a736a4bd",
+    (("analyze", "D210"), "json"):
+        "1bcc2cd3a1a33bf20fdfb0b0e440c9a4a37ea06efc7ee97c3ce592b416d95550",
+    (("analyze", "D210"), "text"):
+        "c8a144b7f0fbe2eaa5ee44ea09fe23146a7309a3cf8594edd3007c17e5bc12e7",
+    (("analyze", "prod(C3,SL2(5))"), "json"):
+        "9035b7e851eca44710114d94ff47c56ccd38b8b621c9a7db235f00c90576474b",
+    (("analyze", "prod(C3,SL2(5))"), "text"):
+        "50970c7fd13723d956e84152b6991faae07d8bf916bdf4af8d3e61494b54a79a",
+    (("analyze", "prod(C7,SL2(5))"), "json"):
+        "ffe99b635b7e1602e4a6cdc7f62b771a7aa5c5d4543f0acf7f137bddc4cf4e8d",
+    (("analyze", "prod(C7,SL2(5))"), "text"):
+        "76dda4f178fc48dd9dc7e300203c7149d2d8f2e38fecb37bdb79c6fdabcc4f28",
+    (("analyze", "C840"), "json"):
+        "0ebc411d7d54747b30bb321ebf7ca7082f1294e1a4d940c3693e28b41462f193",
+    (("analyze", "C840"), "text"):
+        "b32852a69530daacab5e7a8549a8cba79dc31bedc0844e2862381eb73e79800c",
+    (("analyze", "prod(Q16,sd(7,9,2))"), "json"):
+        "21d71e3b4f950f990a0d3de3d5a29dcbc38380fee5806cc864ba37bd0c440710",
+    (("analyze", "prod(Q16,sd(7,9,2))"), "text"):
+        "586c5b4641c2f71b5e31aa35b7851fee3c21ceba8658dce882f40680d3c90dcf",
+    (("analyze", "sd(17,288,3)"), "json"):
+        "6aa8c7d1acd0cc7b6c73db4835f88d4dec2410cbd40d4739ed6aaa3de2a8cb24",
 }
 
 

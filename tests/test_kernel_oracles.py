@@ -12,8 +12,11 @@ the multiplication rows table.tolist(), and the semiprime scan by one capped
 closure per pair of prime-order subgroups, and the Sylow profile and the
 cycloidal type by isomorphism searches against reference groups, the type
 from the table of G/O(G), and the dihedral, dicyclic and semidirect tables
-by their all-pairs product formulas.  Tables derived from a proved group skip
-Light's test; the full test must still accept each of them.
+by their all-pairs product formulas, and the conjugacy classes by one mask
+per class, the center by the transposed table, normality by the conjugates
+under all of G and the cyclic subgroups by the rows of powers of every
+element.  Tables derived from a proved group skip Light's test; the full
+test must still accept each of them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from math import log2
+from math import gcd, log2
 
 import numpy as np
 import pytest
@@ -68,6 +71,7 @@ from freerep.groups import (
     Group,
     Homomorphism,
     Subgroup,
+    _normalizing,
     _sl2_walk,
     _validate_table,
     build_group,
@@ -819,3 +823,99 @@ def test_a_build_peaks_below_two_and_a_half_tables(build):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * G.table.nbytes, peak / G.table.nbytes
+
+
+def _classes_by_masks(G):
+    # one n-wide mask per class, the orbit of x under all n conjugations
+    table, inv = G.table, G.inverse
+    seen = np.zeros(G.order, dtype=bool)
+    class_index = np.full(G.order, -1, dtype=np.int32)
+    classes = []
+    for x in range(G.order):
+        if seen[x]:
+            continue
+        hit = np.zeros(G.order, dtype=bool)
+        hit[table[table[:, x], inv]] = True
+        orbit = np.flatnonzero(hit)
+        seen[orbit] = True
+        class_index[orbit] = len(classes)
+        classes.append(tuple(int(v) for v in orbit))
+    return classes, class_index
+
+
+def _center_by_transpose(G):
+    eq = G.table == G.table.T
+    return Subgroup(G, [int(g) for g in np.nonzero(eq.all(axis=1))[0]], validate=False)
+
+
+def _is_normal_by_conjugates(H):
+    # the n x |H| array of all conjugates g * h * g^-1
+    return bool(_normalizing(H.parent, H.elements).all())
+
+
+def _cyclic_subgroups_by_power_rows(G):
+    # the d - 1 powers of every element of order d, kept at g if g is the
+    # least of its powers g^k with (k, d) = 1
+    orders = np.array(G.element_orders())
+    found = {0: trivial_subgroup(G)}
+    for d in set(G.element_orders()) - {1}:
+        powers = [np.flatnonzero(orders == d)]
+        for _ in range(d - 2):
+            powers.append(G.table[powers[-1], powers[0]])
+        powers = np.stack(powers, axis=1)  # one row g, g^2, ..., g^(d-1) per g
+        least = powers[:, [k - 1 for k in range(1, d) if gcd(k, d) == 1]].min(axis=1)
+        for row in powers[least == powers[:, 0]].tolist():
+            found[row[0]] = Subgroup(G, [0, *row], validate=False)
+    return [found[g] for g in sorted(found)]
+
+
+@pytest.fixture(scope="module")
+def invariant_corpus():
+    # built once for the three tests below and released after this module;
+    # the derived groups' generators come from the greedy fill, not from
+    # Light's test
+    big = [cyclic(840), sl2(13), sl2(17), cyclic(4896), dicyclic(1224),
+           sd(17, 288, 3), parse_group_spec("prod(C7,SL2(5))").build(), _q8_by_c9()]
+    derived = [H for G in (sl2(7), sd(7, 9, 2), octahedral_2o(), dicyclic(45))
+               for H in _derived_groups(G)]
+    return structural_corpus() + big + derived
+
+
+def test_conjugacy_classes_match_the_class_masks(invariant_corpus):
+    for G in invariant_corpus:
+        classes, index = _classes_by_masks(G)
+        assert G.conjugacy_classes() == classes, G.origin
+        assert np.array_equal(G._class_index, index), G.origin
+
+
+def test_center_and_normality_match_the_whole_table_passes(invariant_corpus):
+    for G in invariant_corpus:
+        assert center(G).elements == _center_by_transpose(G).elements, G.origin
+        for H in _some_subgroups(G):
+            assert H.is_normal() == _is_normal_by_conjugates(H), (G.origin, len(H))
+
+
+def test_cyclic_subgroups_match_the_power_rows(invariant_corpus):
+    for G in invariant_corpus:
+        assert [C.elements for C in cyclic_subgroups(G)] == \
+            [C.elements for C in _cyclic_subgroups_by_power_rows(G)], G.origin
+
+
+@pytest.mark.parametrize("build", [lambda: cyclic(2000), lambda: dicyclic(500)],
+                         ids=["cyclic", "dicyclic"])
+@pytest.mark.parametrize("invariant", [
+    lambda G: G.conjugacy_classes(),
+    center,
+    lambda G: full_subgroup(G).is_normal(),
+    cyclic_subgroups,
+], ids=["conjugacy_classes", "center", "is_normal", "cyclic_subgroups"])
+def test_an_invariant_peaks_below_an_eighth_of_the_table(build, invariant):
+    # order 2000, caches cold: no n x n temporary, nor n rows of powers
+    G = build()
+    tracemalloc.start()
+    try:
+        invariant(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < G.table.nbytes / 8, peak / G.table.nbytes

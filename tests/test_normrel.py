@@ -716,11 +716,12 @@ def test_certificate_check_rejects_trivial_and_foreign_terms():
         NormRelationCertificate(G, [(Subgroup(other, [0, 1]), unit)]).verify()
 
 
-@pytest.mark.parametrize("key", [-1, 4])
+@pytest.mark.parametrize("key", [-1, 4, 2.0, True, "1"])
 def test_certificate_check_rejects_keys_outside_the_group(key):
     # the last klein term is -1/2 * 2 * N({0, 1}), and 3 * {0, 1} is the same
     # coset, so numpy, reading key -1 as element 3, would pass the
-    # certificate; key 4 = |G| lies past the table
+    # certificate; key 4 = |G| lies past the table; 2.0 equals an element
+    # but is no index, and True would index as a boolean
     cert = find_norm_relation(klein_four()).certificate
     G, (*kept, (sub, coeff)) = cert.group, cert.terms
     assert sub.elements == (0, 1) and coeff == {2: Fraction(-1, 2)}

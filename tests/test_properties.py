@@ -22,7 +22,9 @@ from freerep.groups import (
     Group,
     _validate_table,
     all_subgroups,
+    center,
     commutator_of_subgroup,
+    cyclic_subgroups,
     full_subgroup,
     normal_closure,
     normalizer,
@@ -100,6 +102,8 @@ def test_deadline_cancels_enumeration():
 
 
 SL2_7 = sl2(7)  # built outside the deadline, so the stage itself must honour it
+# SL2_7's table wrapped once per stage, so each stage starts with cold caches
+COLD = {name: Group(SL2_7.table) for name in ("classes", "center", "normal", "cyclic")}
 
 
 @pytest.mark.parametrize("stage", [
@@ -109,8 +113,13 @@ SL2_7 = sl2(7)  # built outside the deadline, so the stage itself must honour it
     survey210,
     lambda: is_semiprime_cyclic(SL2_7),
     lambda: commutator_of_subgroup(SL2_7, full_subgroup(SL2_7)),
+    lambda: COLD["classes"].conjugacy_classes(),
+    lambda: center(COLD["center"]),
+    lambda: full_subgroup(COLD["normal"]).is_normal(),
+    lambda: cyclic_subgroups(COLD["cyclic"]),
 ], ids=["classify", "build_free_representation", "census_report", "survey210",
-        "is_semiprime_cyclic", "commutator_of_subgroup"])
+        "is_semiprime_cyclic", "commutator_of_subgroup", "conjugacy_classes", "center",
+        "is_normal", "cyclic_subgroups"])
 def test_every_stage_honours_the_deadline_without_the_cli(stage):
     with limits(seconds=0):
         with pytest.raises(DeadlineExceeded):
