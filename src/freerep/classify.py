@@ -37,7 +37,6 @@ from .groups import (
     embed_sl2,
     full_subgroup,
     is_solvable,
-    mulclose,
     normal_closure,
     perfect_core,
     quotient_group,
@@ -204,7 +203,7 @@ def is_semiprime_cyclic(G: Group) -> tuple:
         hit = np.where(size[i] == size, comm == 0, owner[comm] == larger) & (pair > i)
         if hit.any():
             r, j = np.unravel_index(np.argmax(hit), hit.shape)
-            W = Subgroup(G, mulclose(G, [gens[start + r], gens[j]]))
+            W = Subgroup(G, subgroup_generated(G, gens[[start + r, j]]).elements)
             orders = [G.element_orders()[g] for g in W.elements]
             if len(W) != size[start + r] * size[j] or len(W) in orders:
                 raise InvariantViolated("semiprime witness is not noncyclic of order pq")

@@ -121,9 +121,10 @@ class Group:
 
     def generators(self) -> list:
         """At most log2(n) generators: those Light's test checked when the
-        table was validated, else the same greedy choice."""
+        table was validated, else the same least elements outside the
+        closure."""
         if self._generators is None:
-            self._generators = _greedy_generators(self.table)
+            self._generators = _generate(self.table, range(self.order))[1]
         return self._generators
 
     def exponent_generator(self) -> Optional[int]:
@@ -202,30 +203,46 @@ def _validate_table(table: np.ndarray) -> tuple:
     bad = np.flatnonzero(table[ident, inverse])
     if bad.size:
         raise NotAGroup("row is not a permutation", int(bad[0]))
-    return inverse, _greedy_generators(table, _check_associative_at)
+    return inverse, _generate(table, range(n), _check_associative_at)[1]
 
 
-def _greedy_generators(table: np.ndarray, check=lambda table, a: None) -> list:
-    """Take in the least element a outside the right-multiplication closure
-    of 0 under those taken, after check(table, a), until it is the table."""
+def _generate(table: np.ndarray, gens: Iterable[int], check=lambda table, g: None) -> tuple:
+    """(members, taken): the closure of 0 under right multiplication by gens,
+    its elements in the order reached, and the g of gens taken in, each one
+    not yet inside at its turn, after check(table, g); it stops once the
+    closure is the table.  Over gens = range(n), each g taken is the least
+    element outside.
+
+    Dimino's walk: the closure H so far grows by g to a union of right
+    cosets H * r, and (h * r) * s = h * (r * s) leaves one product r * s to
+    test per coset representative r and generator s taken.  That identity
+    needs only r to associate in the middle, which Light's test gives every
+    product of checked elements, so check may be it on an unproved table."""
     n = table.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    taken = []
-    while not inside.all():
+    cells = memoryview(table)  # cells[x, g] is a Python int, read in place
+    inside = bytearray(n)
+    inside[0] = 1
+    members, taken = [0], []
+    for g in gens:
+        if len(members) == n:
+            break
+        if inside[g]:
+            continue
         check_deadline()
-        a = int(np.argmin(inside))
-        check(table, a)
-        taken.append(a)
-        cols = table[:, taken]
-        frontier = np.flatnonzero(inside)
-        while frontier.size:
-            fresh = np.zeros(n, dtype=bool)
-            fresh[cols.take(frontier, axis=0)] = True
-            fresh &= ~inside
-            inside |= fresh
-            frontier = np.flatnonzero(fresh)
-    return taken
+        check(table, g)
+        taken.append(g)
+        old, reps = members[:], [0]
+        for r in reps:  # reps grows as the walk finds cosets
+            for s in taken:
+                y = cells[r, s]
+                if not inside[y]:
+                    reps.append(y)
+                    for h in old:
+                        x = cells[h, y]
+                        if not inside[x]:
+                            inside[x] = 1
+                            members.append(x)
+    return members, taken
 
 
 def _check_associative_at(table: np.ndarray, a: int) -> None:
@@ -415,49 +432,13 @@ def full_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, range(G.order), validate=False)
 
 
-def mulclose(G: Group, gens: Sequence[int], *, cap: Optional[int] = None) -> Optional[list]:
-    """Closure of {identity} under right multiplication by gens.
-
-    Returns the sorted element list, or None if a cap was given and exceeded.
-    """
-    cells = memoryview(G.table)  # cells[x, g] is a Python int, read in place
-    elems = {0}
-    frontier = [0]
-    gens = list(dict.fromkeys(int(g) for g in gens))
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = cells[x, g]
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-        if cap is not None and len(elems) > cap:
-            return None
-        frontier = new
-    return sorted(elems)
-
-
 def subgroup_generated(G: Group, gens: Sequence[int]) -> Subgroup:
-    """Least subgroup containing gens (breadth-first closure).
-
-    Large generating sets are absorbed incrementally: close over a few
-    generators, then add one not yet inside and re-close, so the cost is
-    |H| times the number of ESSENTIAL generators.
-    """
-    gens = list(dict.fromkeys(int(g) for g in gens))
+    """Least subgroup containing gens: their closure by _generate."""
+    gens = [int(g) for g in gens]
     for g in gens:
         if not 0 <= g < G.order:
             raise NotAGroup("generator out of range", g)
-    if len(gens) <= 4:
-        return Subgroup(G, mulclose(G, gens), validate=False)
-    active = gens[:2]
-    closed = set(mulclose(G, active))
-    for g in gens:
-        if g not in closed:
-            active.append(g)
-            closed = set(mulclose(G, active))
-    return Subgroup(G, sorted(closed), validate=False)
+    return Subgroup(G, _generate(G.table, gens)[0], validate=False)
 
 
 def conjugates(G: Group, elems: Sequence[int], by=slice(None)) -> np.ndarray:
@@ -518,45 +499,25 @@ def _unit_generators(e: int) -> set:
 def all_subgroups(G: Group) -> list:
     """Every subgroup exactly once, by cyclic seeds + pairwise join closure."""
     check_order(G.order, SUBGROUP_CAP, "all_subgroups")
-    found = {}  # frozenset -> short generator tuple
-    queue = []
-    for sub in cyclic_subgroups(G):
-        key = sub.elset
-        gen = max(sub.elements[1:], default=0, key=G.element_orders().__getitem__) \
-            if len(sub) > 1 else 0
-        g = (gen,) if len(sub) > 1 else ()
-        found[key] = g
-        queue.append((key, g))
-    processed = []
+    orders = G.element_orders()
+    found = {sub.elset: [max(sub.elements, key=orders.__getitem__)]
+             for sub in cyclic_subgroups(G)}  # frozenset -> at most log2 |H| generators
+    queue, processed = list(found.items()), []
     while queue:
         check_deadline()
         key1, gens1 = queue.pop()
         for key2, gens2 in processed:
             if key1 <= key2 or key2 <= key1:
                 continue
-            joined = mulclose(G, gens1 + gens2)
+            joined, taken = _generate(G.table, gens1 + gens2)
             jkey = frozenset(joined)
             if jkey not in found:
-                reduced = _reduce_gens(G, gens1 + gens2, len(joined))
-                found[jkey] = reduced
-                queue.append((jkey, reduced))
+                found[jkey] = taken
+                queue.append((jkey, taken))
         processed.append((key1, gens1))
     subs = [Subgroup(G, key, validate=False) for key in found]
     subs.sort(key=lambda s: (len(s), s.elements))
     return subs
-
-
-def _reduce_gens(G: Group, gens: tuple, target: int) -> tuple:
-    """Drop redundant generators (keeps joins cheap)."""
-    gens = tuple(dict.fromkeys(gens))
-    if len(gens) <= 2:
-        return gens
-    for i in range(len(gens)):
-        trimmed = gens[:i] + gens[i + 1:]
-        closed = mulclose(G, trimmed, cap=target)
-        if closed is not None and len(closed) == target:
-            return _reduce_gens(G, trimmed, target)
-    return gens
 
 
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
@@ -648,9 +609,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     while len(P) < target:
         check_deadline()
         N = np.fromiter(normalizer(G, P).elements, dtype=np.int64)
-        power = N
-        for _ in range(p - 1):
-            power = G.table[power, N]
+        power = G.power(N, p)
         in_P = np.zeros(G.order, dtype=bool)
         in_P[list(P.elements)] = True
         lift = int(N[np.argmax(~in_P[N] & in_P[power])])

@@ -32,11 +32,11 @@ from .groups import (
     Group,
     Homomorphism,
     Subgroup,
+    _generate,
     _levels,
     carry,
     cyclic_subgroups,
     left_cosets,
-    mulclose,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -268,10 +268,8 @@ def verify_free(rep: Representation) -> FreenessReport:
 def _discrete_log(G: Group, g: int) -> np.ndarray:
     """k at index g^k for 0 <= k < the order of g, and 0 off <g>."""
     log = np.zeros(G.order, dtype=np.int64)
-    x, k = g, 1
-    while x:
-        log[x] = k
-        x, k = G.mul(x, g), k + 1
+    powers = _generate(G.table, [g])[0]  # 1, g, g^2, ... in the order reached
+    log[powers] = np.arange(len(powers))
     return log
 
 
@@ -501,7 +499,7 @@ def _to_hurwitz_model(H: Group, model: Group) -> Homomorphism:
     That rule fixes the witnesses printed by `represent --json`."""
     orders, model_orders = H.element_orders(), model.element_orders()
     sixes = [g for g in H.elements() if orders[g] == 6]
-    powers = mulclose(H, sixes[:1])
+    powers = subgroup_generated(H, sixes[:1])
     y = next((g for g in sixes if g not in powers), None)
     not_2t = InvariantViolated(f"{H.origin}: order-24 subgroup is not 2T")
     if y is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from freerep.errors import NotAGroup
-from freerep.groups import Group, Homomorphism, mulclose
+from freerep.groups import Group, Homomorphism, subgroup_generated
 from freerep.run import check_deadline
 
 
@@ -32,7 +32,7 @@ def generating_sequence(G: Group) -> list:
         for g in by_order:
             if g in current:
                 continue
-            closure = mulclose(G, gens + [g])
+            closure = subgroup_generated(G, gens + [g]).elements
             if len(closure) == G.order:
                 best, best_closure = g, closure
                 break

@@ -249,6 +249,49 @@ def test_sl2_5_times_c7_fr():
     assert len(v.supporting["odd_factor"]) == 7
 
 
+def _sl2_5_extended_by_r():
+    # <S, T, R> in SL2(F_25), F_25 = F_5[x]/(x^2 - 2) with a + b x stored as
+    # (a, b): S and T generate SL2(F_5), and R = zeta * diag(2, 1) with
+    # zeta = 2x, so zeta^2 = 2^-1 and det R = 1.  Wolf's type VI, order 240.
+    def fmul(u, v):
+        (a, b), (c, d) = u, v
+        return (a * c + 2 * b * d) % 5, (a * d + b * c) % 5
+
+    def mmul(m, k):
+        return tuple(tuple(tuple((s + t) % 5 for s, t in zip(fmul(m[i][0], k[0][j]),
+                                                              fmul(m[i][1], k[1][j])))
+                           for j in range(2)) for i in range(2))
+
+    one, zero, zeta = (1, 0), (0, 0), (0, 2)
+    gens = [((zero, (4, 0)), (one, zero)), ((one, one), (zero, one)),
+            ((fmul(zeta, (2, 0)), zero), (zero, zeta))]
+    elems = [((one, zero), (zero, one))]
+    index = {elems[0]: 0}
+    for m in elems:
+        for g in gens:
+            y = mmul(m, g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return build_group(lambda i, j: index[mmul(elems[i], elems[j])], len(elems),
+                       origin="<SL2(5),R>")
+
+
+def test_wolf_type_vi_takes_the_index_2_branch():
+    G = _sl2_5_extended_by_r()
+    assert G.order == 240
+    v = is_freely_representable(G)
+    assert (v.answer, v.criterion) == (True, "suzuki_zassenhaus_structure")
+    assert {k: len(s) for k, s in v.supporting.items()} == \
+        {"sl2f5_factor": 120, "odd_factor": 1, "index2_subgroup": 120}
+    relation = find_norm_relation(G)
+    assert relation.certificate is None and relation.ideal_dimension == 224
+    # G/G' is C14 here, so its index-2 subgroups come from all_subgroups joins
+    v = is_freely_representable(direct_product(cyclic(7), G))
+    assert v.answer
+    assert {len(s) for s in v.supporting.values()} == {120, 7, 840}
+
+
 def test_sl2_7_not_fr():
     v = is_freely_representable(sl2(7))
     assert not v.answer

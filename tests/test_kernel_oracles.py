@@ -15,8 +15,10 @@ from the table of G/O(G), and the dihedral, dicyclic and semidirect tables
 by their all-pairs product formulas, and the conjugacy classes by one mask
 per class, the center by the transposed table, normality by the conjugates
 under all of G and the cyclic subgroups by the rows of powers of every
-element.  Tables derived from a proved group skip Light's test; the full
-test must still accept each of them.
+element, and the generating sets by one numpy pass per breadth-first level
+of the closure and the discrete logarithms by a walk along the powers.
+Tables derived from a proved group skip Light's test; the full test must
+still accept each of them.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ from freerep.groups import (
     cyclic_subgroups,
     full_subgroup,
     is_solvable,
-    mulclose,
     normal_closure,
     normalizer,
     quotient_group,
@@ -93,6 +94,7 @@ from freerep.groups import (
     sylow_subgroup,
     trivial_subgroup,
 )
+from freerep.represent import _discrete_log
 from freerep.quaternions import (
     ONE,
     QUATERNION_CAP,
@@ -141,7 +143,7 @@ def _odd_core_by_cyclic_subgroups(G):
     for g in range(1, G.order):
         if orders[g] % 2 == 0:
             continue
-        C = frozenset(mulclose(G, [g]))
+        C = subgroup_generated(G, [g]).elset
         if C in seen:
             continue
         seen.add(C)
@@ -399,7 +401,7 @@ def test_validation_returns_the_inverse_and_a_short_generating_set():
         assert np.array_equal(inverse, np.argmin(G.table, axis=1)), G.origin
         assert np.array_equal(G.inverse, inverse), G.origin
         assert len(checked) <= log2(G.order), G.origin
-        assert len(mulclose(G, checked)) == G.order, G.origin
+        assert len(subgroup_generated(G, checked)) == G.order, G.origin
 
 
 def test_verify_reports_a_real_witness_past_the_first_block():
@@ -579,9 +581,54 @@ def test_closures_match_the_row_loop():
         rng = random.Random(G.order)
         for _ in range(20):
             gens = [rng.randrange(G.order) for _ in range(rng.randint(1, 3))]
-            cap = rng.choice([None, 1, G.order // 2, G.order])
-            assert mulclose(G, gens, cap=cap) == \
-                _mulclose_by_rows(rows, gens, cap), (G.origin, gens, cap)
+            assert list(subgroup_generated(G, gens).elements) == \
+                _mulclose_by_rows(rows, gens), (G.origin, gens)
+
+
+def _greedy_generators_by_levels(table):
+    # the least element outside the closure, the closure grown by one numpy
+    # pass per breadth-first level
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    taken = []
+    while not inside.all():
+        taken.append(int(np.argmin(inside)))
+        cols = table[:, taken]
+        frontier = np.flatnonzero(inside)
+        while frontier.size:
+            fresh = np.zeros(n, dtype=bool)
+            fresh[cols.take(frontier, axis=0)] = True
+            fresh &= ~inside
+            inside |= fresh
+            frontier = np.flatnonzero(fresh)
+    return taken
+
+
+def test_generators_match_the_greedy_levels():
+    groups = _oracle_corpus() + [_q8_by_c9()]
+    groups += [H for G in (sl2(7), sd(7, 9, 2), octahedral_2o(), dicyclic(45))
+               for H in _derived_groups(G)]
+    for G in groups:
+        greedy = _greedy_generators_by_levels(G.table)
+        assert G.generators() == greedy, G.origin
+        assert _validate_table(G.table)[1] == greedy, G.origin
+
+
+def _discrete_log_by_walk(G, g):
+    log = np.zeros(G.order, dtype=np.int64)
+    x, k = g, 1
+    while x:
+        log[x] = k
+        x, k = G.mul(x, g), k + 1
+    return log
+
+
+def test_discrete_log_matches_the_walk():
+    for G in (cyclic(840), dicyclic(45), sl2(7), _q8_by_c9()):
+        for g in random.Random(G.order).sample(range(G.order), 20) + [0]:
+            assert np.array_equal(_discrete_log(G, g), _discrete_log_by_walk(G, g)), \
+                (G.origin, g)
 
 
 def test_normalizers_and_centralizers_match_the_row_loops():

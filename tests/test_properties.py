@@ -104,6 +104,7 @@ def test_deadline_cancels_enumeration():
 SL2_7 = sl2(7)  # built outside the deadline, so the stage itself must honour it
 # SL2_7's table wrapped once per stage, so each stage starts with cold caches
 COLD = {name: Group(SL2_7.table) for name in ("classes", "center", "normal", "cyclic")}
+DERIVED = full_subgroup(SL2_7).as_group()  # no generators until first asked
 
 
 @pytest.mark.parametrize("stage", [
@@ -117,9 +118,11 @@ COLD = {name: Group(SL2_7.table) for name in ("classes", "center", "normal", "cy
     lambda: center(COLD["center"]),
     lambda: full_subgroup(COLD["normal"]).is_normal(),
     lambda: cyclic_subgroups(COLD["cyclic"]),
+    lambda: subgroup_generated(SL2_7, range(SL2_7.order)),
+    lambda: DERIVED.generators(),
 ], ids=["classify", "build_free_representation", "census_report", "survey210",
         "is_semiprime_cyclic", "commutator_of_subgroup", "conjugacy_classes", "center",
-        "is_normal", "cyclic_subgroups"])
+        "is_normal", "cyclic_subgroups", "subgroup_generated", "generators"])
 def test_every_stage_honours_the_deadline_without_the_cli(stage):
     with limits(seconds=0):
         with pytest.raises(DeadlineExceeded):
