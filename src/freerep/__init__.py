@@ -11,9 +11,7 @@ from .groups import (
     Group,
     Homomorphism,
     Subgroup,
-    all_subgroups,
     build_group,
-    quotient_group,
     subgroup_generated,
     sylow_subgroup,
 )
@@ -72,9 +70,7 @@ __all__ = [
     "Group",
     "Homomorphism",
     "Subgroup",
-    "all_subgroups",
     "build_group",
-    "quotient_group",
     "subgroup_generated",
     "sylow_subgroup",
     "SemidirectParams",

@@ -29,7 +29,6 @@ from .groups import (
     BLOCK_ROWS,
     Group,
     Subgroup,
-    all_subgroups,
     centralizer,
     center,
     commutator_subgroup,
@@ -39,7 +38,6 @@ from .groups import (
     is_solvable,
     normal_closure,
     perfect_core,
-    quotient_group,
     subgroup_generated,
     sylow_subgroup,
     trivial_subgroup,
@@ -235,58 +233,25 @@ class FreelyRepresentableVerdict:
         return out
 
 
-def _index2_subgroups(G: Group) -> list:
-    """Index-2 subgroups, via the abelianization (no full enumeration)."""
-    A = commutator_subgroup(G)
-    if (G.order // len(A)) % 2:
-        return []
-    Q, proj = quotient_group(G, A)
-    out = []
-    for H in all_subgroups(Q):
-        if 2 * len(H) == Q.order:
-            lifted = [g for g in G.elements() if proj(g) in H.elset]
-            out.append(Subgroup(G, lifted, validate=False))
+def _suzuki_zassenhaus_structure(G: Group, E: Subgroup) -> Optional[dict]:
+    """H = E x M of index <= 2 in G, with E the perfect core of G isomorphic
+    to SL2(F5) and M of odd order prime to 30 and freely representable, or
+    None.  No search: a subgroup H of index <= 2 contains E, which is also
+    the perfect core of H (G/H is abelian, so the derived series of G enters
+    H), and H holds every element of odd order (g = (g^2)^((|g| + 1) / 2)).
+    So M is the odd part of C_G(E) whichever H is meant: H = G when
+    |E| |M| = |G|, and H = E M when |E| |M| = |G| / 2."""
+    if len(E) != 120 or embed_sl2(G, E.elements, 5) is None:
+        return None
+    orders = G.element_orders()
+    M = Subgroup(G, [g for g in centralizer(G, E.elements).elements if orders[g] % 2 == 1])
+    if (len(E) * len(M) not in (G.order, G.order // 2) or E.elset & M.elset != {0}
+            or gcd(len(M), 30) != 1 or not is_freely_representable(M.as_group()).answer):
+        return None
+    out = {"sl2f5_factor": E, "odd_factor": M}
+    if 2 * len(E) * len(M) == G.order:
+        out["index2_subgroup"] = Subgroup(G, G.table[np.ix_(E.elements, M.elements)].ravel())
     return out
-
-
-def _odd_part_of_centralizer(HG: Group, E: Subgroup) -> Subgroup:
-    cent = centralizer(HG, E.elements)
-    orders = HG.element_orders()
-    odd = [g for g in cent.elements if orders[g] % 2 == 1]
-    return Subgroup(HG, odd)
-
-
-def _suzuki_zassenhaus_structure(G: Group) -> Optional[dict]:
-    """Find H of index <= 2 with H = E x M, E iso SL2(F5), M odd order
-    prime to 30 and freely representable.  Subgroups come back in G's
-    own index space."""
-    candidates = [None] + _index2_subgroups(G)  # None stands for G itself
-    for H in candidates:
-        HG = G if H is None else H.as_group()
-        if HG.order % 120:
-            continue
-        E = perfect_core(HG)
-        if len(E) != 120:
-            continue
-        if embed_sl2(HG, E.elements, 5) is None:
-            continue
-        M = _odd_part_of_centralizer(HG, E)
-        if len(E) * len(M) != HG.order:
-            continue
-        if E.elset & M.elset != {0}:
-            continue
-        if gcd(len(M), 30) != 1:
-            continue
-        if not is_freely_representable(M.as_group()).answer:
-            continue
-        if H is not None:  # translate back into G's element indices
-            E = Subgroup(G, [H.elements[i] for i in E.elements], validate=False)
-            M = Subgroup(G, [H.elements[i] for i in M.elements], validate=False)
-        out = {"sl2f5_factor": E, "odd_factor": M}
-        if H is not None:
-            out["index2_subgroup"] = H
-        return out
-    return None
 
 
 def _embedded_fermat_sl2(G: Group) -> Optional[tuple]:
@@ -315,21 +280,21 @@ def is_freely_representable(G: Group) -> FreelyRepresentableVerdict:
     if not ok:
         return FreelyRepresentableVerdict(
             False, "noncyclic_semiprime_subgroup", witness=witness)
-    if is_solvable(G):
+    E = perfect_core(G)
+    if len(E) == 1:
         return FreelyRepresentableVerdict(True, "solvable_semiprime_cyclic")
     hit = _embedded_fermat_sl2(G)
     if hit is not None:
         p, sub = hit
         return FreelyRepresentableVerdict(
             False, "embedded_sl2_fermat", witness=sub, fermat_prime=p)
-    structure = _suzuki_zassenhaus_structure(G)
+    structure = _suzuki_zassenhaus_structure(G, E)
     if structure is None:
         raise NotCycloidal(
             "non-solvable semiprime-cyclic group without Suzuki-Zassenhaus "
             "structure; this contradicts the classification")
-    supporting = {k: v for k, v in structure.items() if v is not None}
     return FreelyRepresentableVerdict(
-        True, "suzuki_zassenhaus_structure", supporting=supporting)
+        True, "suzuki_zassenhaus_structure", supporting=structure)
 
 
 # -- aggregate report -----------------------------------------------------------------

@@ -28,14 +28,6 @@ class DeadlineExceeded(FreerepError):
     pass
 
 
-class NotNormal(FreerepError):
-    pass
-
-
-class NotConjugationClosed(FreerepError):
-    pass
-
-
 class BadSize(FreerepError):
     pass
 
@@ -53,10 +45,6 @@ class NotAPartition(FreerepError):
 
 
 class NotUnit(FreerepError):
-    pass
-
-
-class NotQuaternionGroup(FreerepError):
     pass
 
 

@@ -14,12 +14,10 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .cyclotomic import is_prime, prime_factors
-from .errors import (BadParams, CapExceeded, InvariantViolated, NotAGroup,
-                     NotNormal)
+from .errors import BadParams, CapExceeded, InvariantViolated, NotAGroup
 from .run import check_deadline, check_order
 
-# default caps on the group order, replaced by the run's cap when it has one
-SUBGROUP_CAP = 2000  # all_subgroups enumeration
+# default cap on the group order, replaced by the run's cap when it has one
 ORDER_CAP = 6000  # largest Cayley table we agree to build
 BLOCK_ROWS = 256  # table rows handled at a time by the n x n array passes
 
@@ -53,7 +51,7 @@ class Group:
     @classmethod
     def _derived(cls, table: np.ndarray, labels, origin: str) -> "Group":
         """A table proved by its derivation from a proved group, without
-        Light's test: see Subgroup.as_group and quotient_group."""
+        Light's test: see Subgroup.as_group."""
         grp = cls.__new__(cls)
         grp._adopt(np.ascontiguousarray(table, dtype=np.int32), labels, origin)
         return grp
@@ -496,30 +494,6 @@ def _unit_generators(e: int) -> set:
     return gens - {1}
 
 
-def all_subgroups(G: Group) -> list:
-    """Every subgroup exactly once, by cyclic seeds + pairwise join closure."""
-    check_order(G.order, SUBGROUP_CAP, "all_subgroups")
-    orders = G.element_orders()
-    found = {sub.elset: [max(sub.elements, key=orders.__getitem__)]
-             for sub in cyclic_subgroups(G)}  # frozenset -> at most log2 |H| generators
-    queue, processed = list(found.items()), []
-    while queue:
-        check_deadline()
-        key1, gens1 = queue.pop()
-        for key2, gens2 in processed:
-            if key1 <= key2 or key2 <= key1:
-                continue
-            joined, taken = _generate(G.table, gens1 + gens2)
-            jkey = frozenset(joined)
-            if jkey not in found:
-                found[jkey] = taken
-                queue.append((jkey, taken))
-        processed.append((key1, gens1))
-    subs = [Subgroup(G, key, validate=False) for key in found]
-    subs.sort(key=lambda s: (len(s), s.elements))
-    return subs
-
-
 def normalizer(G: Group, H: Subgroup) -> Subgroup:
     inside = _normalizing(G, H.elements)
     return Subgroup(G, np.flatnonzero(inside).tolist(), validate=False)
@@ -617,7 +591,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
     return P
 
 
-# -- quotients and homomorphisms ---------------------------------------------
+# -- homomorphisms -----------------------------------------------------------
 
 
 class Homomorphism:
@@ -651,28 +625,9 @@ class Homomorphism:
     def __call__(self, g: int) -> int:
         return self.map[g]
 
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source, [g for g, h in enumerate(self.map) if h == 0],
-                        validate=False)
-
     def is_bijective(self) -> bool:
         return (self.source.order == self.target.order
                 and len(set(self.map)) == self.source.order)
-
-
-def quotient_group(G: Group, N: Subgroup) -> tuple:
-    """(G/N, canonical projection).  Raises NotNormal if N is not normal.
-    G/N is proved a group as the image of the verified onto projection."""
-    if N.parent is not G:
-        raise NotNormal("subgroup bound to a different parent")
-    if not N.is_normal():
-        raise NotNormal("subgroup is not normal")
-    reps, coset_of = left_cosets(G, N.elements)
-    table = coset_of[G.table[np.ix_(reps, reps)]]
-    labels = [G.label(r) for r in reps.tolist()] if G.labels else None
-    Q = Group._derived(table, labels, f"quotient({G.origin}/{len(N)})")
-    proj = Homomorphism(G, Q, coset_of.tolist())
-    return Q, proj
 
 
 # -- SL2(F_p) recognition ------------------------------------------------------

@@ -10,9 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from freerep.errors import BadParams, InvariantViolated, NotQuaternionGroup, NotUnit
-from freerep.groups import Group, Subgroup, quotient_group
+from group_theory import quotient_group
+from freerep.errors import BadParams, FreerepError, InvariantViolated, NotUnit
+from freerep.groups import Group, Subgroup
 from freerep.quaternions import I, J, K, QuadFieldElement, Quaternion, _coerce, quat
+
+
+class NotQuaternionGroup(FreerepError):
+    pass
 
 
 @dataclass(frozen=True)

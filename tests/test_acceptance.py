@@ -12,18 +12,18 @@ from math import gcd
 import pytest
 
 from group_theory import (
+    all_subgroups,
     count_nth_roots,
     element_order,
     is_abelian,
     normal_subgroups,
+    quotient_group,
     sylow_conjugates,
 )
 from isomorphism import is_isomorphic
 from freerep.groups import (
-    all_subgroups,
     center,
     commutator_subgroup,
-    quotient_group,
     sl2_elements,
     subgroup_generated,
     sylow_subgroup,

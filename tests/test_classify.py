@@ -10,11 +10,11 @@ from collections import Counter
 import pytest
 
 from corpus import sd_triples
-from group_theory import is_abelian, normal_subgroups
+from group_theory import all_subgroups, is_abelian, normal_subgroups, quotient_group
 from isomorphism import is_isomorphic
 from freerep.cyclotomic import prime_factors
 from freerep.errors import NotCycloidal, NotSylowCyclic
-from freerep.groups import all_subgroups, build_group
+from freerep.groups import build_group
 from freerep.constructors import (
     binary_polyhedral,
     cyclic,
@@ -286,7 +286,8 @@ def test_wolf_type_vi_takes_the_index_2_branch():
         {"sl2f5_factor": 120, "odd_factor": 1, "index2_subgroup": 120}
     relation = find_norm_relation(G)
     assert relation.certificate is None and relation.ideal_dimension == 224
-    # G/G' is C14 here, so its index-2 subgroups come from all_subgroups joins
+    # C7 x G: the odd part of the centralizer of SL2(5) is C7, and SL2(5) x C7
+    # is the index-2 subgroup
     v = is_freely_representable(direct_product(cyclic(7), G))
     assert v.answer
     assert {len(s) for s in v.supporting.values()} == {120, 7, 840}
@@ -445,7 +446,7 @@ def test_square_free_members_of_corpus():
 
 
 def test_g_and_g_mod_core_share_2sylow():
-    from freerep.groups import quotient_group, sylow_subgroup
+    from freerep.groups import sylow_subgroup
 
     for G in (dicyclic(7), dihedral(6), sl2(3),
               direct_product(cyclic(3), generalized_quaternion(8))):

@@ -16,7 +16,9 @@ by their all-pairs product formulas, and the conjugacy classes by one mask
 per class, the center by the transposed table, normality by the conjugates
 under all of G and the cyclic subgroups by the rows of powers of every
 element, and the generating sets by one numpy pass per breadth-first level
-of the closure and the discrete logarithms by a walk along the powers.
+of the closure and the discrete logarithms by a walk along the powers, and
+the Suzuki-Zassenhaus structure by a search of G and its index-2 subgroups,
+listed from every subgroup of the table of G/G'.
 Tables derived from a proved group skip Light's test; the full test must
 still accept each of them.
 """
@@ -32,7 +34,9 @@ import numpy as np
 import pytest
 
 from corpus import octahedral_2o, sd_triples, structural_corpus
+from group_theory import all_subgroups, quotient_group
 from so3 import binary_dihedral_generators, order10_icosian
+from test_classify import _sl2_5_extended_by_r
 from test_properties import (
     BIG_ORDERS,
     BIG_PLACES,
@@ -49,7 +53,9 @@ from freerep.classify import (
     NOT_CYCLOIDAL,
     QUATERNION_TYPE,
     SYLOW_CYCLIC,
+    _suzuki_zassenhaus_structure,
     cycloidal_type,
+    is_freely_representable,
     is_semiprime_cyclic,
     is_sylow_cycloidal,
     odd_core,
@@ -83,11 +89,12 @@ from freerep.groups import (
     commutator_of_subgroup,
     commutator_subgroup,
     cyclic_subgroups,
+    embed_sl2,
     full_subgroup,
     is_solvable,
     normal_closure,
     normalizer,
-    quotient_group,
+    perfect_core,
     sl2_elements,
     sl2_steps,
     subgroup_generated,
@@ -800,6 +807,68 @@ def test_q8_by_c9_is_of_binary_tetrahedral_type_with_no_direct_factor():
     assert 9 in G.element_orders()
     assert len(odd_core(G)) == 3
     assert cycloidal_type(G) == BINARY_TETRAHEDRAL_TYPE
+
+
+def _index2_subgroups(G):
+    # the index-2 subgroups, lifted from the subgroups of G/G'
+    A = commutator_subgroup(G)
+    if (G.order // len(A)) % 2:
+        return []
+    Q, proj = quotient_group(G, A)
+    out = []
+    for H in all_subgroups(Q):
+        if 2 * len(H) == Q.order:
+            lifted = [g for g in G.elements() if proj(g) in H.elset]
+            out.append(Subgroup(G, lifted, validate=False))
+    return out
+
+
+def _structure_by_index2_search(G):
+    # G, then each index-2 subgroup H, as a group of its own
+    for H in [None] + _index2_subgroups(G):
+        HG = G if H is None else H.as_group()
+        if HG.order % 120:
+            continue
+        E = perfect_core(HG)
+        if len(E) != 120 or embed_sl2(HG, E.elements, 5) is None:
+            continue
+        orders = HG.element_orders()
+        M = Subgroup(HG, [g for g in centralizer(HG, E.elements).elements
+                          if orders[g] % 2 == 1])
+        if len(E) * len(M) != HG.order or E.elset & M.elset != {0}:
+            continue
+        if gcd(len(M), 30) != 1 or not is_freely_representable(M.as_group()).answer:
+            continue
+        if H is not None:  # translate back into G's element indices
+            E = Subgroup(G, [H.elements[i] for i in E.elements], validate=False)
+            M = Subgroup(G, [H.elements[i] for i in M.elements], validate=False)
+        out = {"sl2f5_factor": E, "odd_factor": M}
+        if H is not None:
+            out["index2_subgroup"] = H
+        return out
+    return None
+
+
+def test_suzuki_zassenhaus_structure_matches_the_index_2_search():
+    extended = _sl2_5_extended_by_r()
+    specs = ["2I", "SL2(5)", "prod(C7,SL2(5))", "prod(C11,2I)", "prod(C49,SL2(5))",
+             "prod(C3,SL2(5))", "SL2(7)", "prod(C2,SL2(5))"]
+    groups = [parse_group_spec(s).build() for s in specs] + [
+        extended, direct_product(cyclic(7), extended), direct_product(extended, cyclic(7))]
+    found = {}
+    for G in groups:
+        want = _structure_by_index2_search(G)
+        got = _suzuki_zassenhaus_structure(G, perfect_core(G))
+        assert (got is None) == (want is None), G.origin
+        if got is not None:
+            assert got.keys() == want.keys(), G.origin
+            assert all(got[k].elset == want[k].elset for k in got), G.origin
+        found[G.origin] = None if got is None else len(got)
+    # both None cases, and the index-2 branch on a group that is not freely
+    # representable (two involutions), met directly
+    assert found["prod(C3,SL2(5))"] is found["SL2(7)"] is None
+    assert found["prod(C2,SL2(5))"] == found["<SL2(5),R>"] == 3
+    assert not is_freely_representable(groups[specs.index("prod(C2,SL2(5))")]).answer
 
 
 def _dihedral_by_formula(n):

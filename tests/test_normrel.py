@@ -16,13 +16,12 @@ import pytest
 
 from corpus import norm_relation_corpus, structural_corpus
 from exact_fields import GroupAlgebraElement, contains, element, norm_element, sparse
-from group_theory import element_order
+from group_theory import all_subgroups, element_order
 from freerep import normrel
 from freerep.cyclotomic import is_prime
 from freerep.errors import NotAPartition, ParentMismatch
 from freerep.groups import (
     Subgroup,
-    all_subgroups,
     cyclic_subgroups,
     subgroup_generated,
 )

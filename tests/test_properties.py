@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from group_theory import count_nth_roots, element_order
+from group_theory import all_subgroups, count_nth_roots, element_order, kernel, quotient_group
 from isomorphism import inverse_map, is_isomorphic
 from freerep.cli import survey210
 from freerep.errors import CapExceeded, DeadlineExceeded, NotAGroup
 from freerep.groups import (
     Group,
     _validate_table,
-    all_subgroups,
     center,
     commutator_of_subgroup,
     cyclic_subgroups,
@@ -393,12 +392,12 @@ def test_isomorphism_witness_fully_verified():
 
 
 def test_quotient_projection_kernel():
-    from freerep.groups import center, quotient_group
+    from freerep.groups import center
 
     G = generalized_quaternion(16)
     Z = center(G)
     Q, proj = quotient_group(G, Z)
-    assert proj.kernel().elset == Z.elset
+    assert kernel(proj).elset == Z.elset
     assert Q.order == 8
 
 

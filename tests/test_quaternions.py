@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from isomorphism import is_isomorphic
-from freerep.errors import BadParams, NotQuaternionGroup, NotUnit
+from freerep.errors import BadParams, NotUnit
 from freerep.constructors import cyclic, generalized_quaternion, sl2
 from so3 import (
+    NotQuaternionGroup,
     binary_dihedral_generators,
     identify_so3_image,
     is_one,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from exact_fields import CyclotomicNumber, add, det, entries, is_zero, matrices, sub
-from group_theory import element_order
+from group_theory import all_subgroups, element_order
 from freerep import represent
 from freerep.cli import main, parse_group_spec
 from freerep.errors import (
@@ -29,7 +29,6 @@ from freerep.errors import (
 )
 from freerep.groups import (
     Subgroup,
-    all_subgroups,
     cyclic_subgroups,
     full_subgroup,
     subgroup_generated,
