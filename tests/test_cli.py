@@ -126,6 +126,23 @@ def test_parse_error_exit_code(capsys):
     assert data["offending_input"] == "nonsense!!"
 
 
+@pytest.mark.parametrize("spec,code,kind,detail", [
+    ("quat(q(1,1,0,0))", 1, "NotUnit",
+     "generator 1+1i is not a unit quaternion"),
+    ("quat(q(3/5,4/5,0,0))", 2, "CapExceeded",
+     "finite_quaternion_group: order 1001 exceeds cap 1000"),
+    ("quat(q(1/2*r2,1/2*r2,0,0),q(0,0,0,1*r5))", 1, "BadParams",
+     "no common field for tags [2, 5]"),
+    ("quat(q(1/2*r2,0,0,1/2*r5))", 1, "ParseError",
+     "mixed quadratic fields in quaternion (at position 25)"),
+], ids=["not-unit", "infinite-order", "fields-across", "fields-within"])
+def test_quaternion_spec_errors(spec, code, kind, detail, capsys):
+    # the stderr JSON of each quaternion error path, as first recorded
+    assert main(["analyze", spec]) == code
+    assert json.loads(capsys.readouterr().err) == {
+        "kind": kind, "detail": detail, "offending_input": spec}
+
+
 def test_census_error_names_its_argument(capsys):
     assert main(["--json", "census", "2"]) == 1
     data = json.loads(capsys.readouterr().err)
@@ -440,6 +457,16 @@ CLI_STDOUT_SHA256 = {
         "586c5b4641c2f71b5e31aa35b7851fee3c21ceba8658dce882f40680d3c90dcf",
     (("analyze", "sd(17,288,3)"), "json"):
         "6aa8c7d1acd0cc7b6c73db4835f88d4dec2410cbd40d4739ed6aaa3de2a8cb24",
+    # recorded while finite quaternion groups still labelled their elements
+    # through Fraction-valued Quaternion objects
+    (("analyze", "quat(q(0,1,0,0),q(0,0,1,0))"), "json"):
+        "f9ae1b732578ba2e80b48ac163cce13112dea7dd322ea9a8f3f2c25a19fdfc0b",
+    (("analyze", "quat(q(0,1,0,0),q(0,0,1,0))"), "text"):
+        "0cb631c77496b029d562eabe10afb5b25848867a61ad4da692c9caa5ade9017f",
+    (("analyze", "quat(q(1/2,1/2,1/2,1/2),q(0,1,0,0))"), "json"):
+        "77e9f8587a91978da00c9af265fbd02730c61af934f98d35d3a08d2a36986ecd",
+    (("analyze", "quat(q(1/2,1/2,1/2,1/2),q(0,1,0,0))"), "text"):
+        "66f0c5dc92ed758bad935d30afbccf941102d04646b273893d9561f12c723c39",
 }
 
 

@@ -598,6 +598,16 @@ REPRESENT_STDOUT_SHA256 = {
         "5be57c9dbf2eb4becb1e8e1e9dec5acd690b1cc4bffec4a97383eee81fab8d4f",
     ("sd(7,27,2)", "text"):
         "2d9177ea0c91eae4375c34c0f291fc257c055eb902aff56a1ddf71c1a92e311b",
+    # recorded while finite quaternion groups still labelled their elements
+    # through Fraction-valued Quaternion objects
+    ("prod(C5,2O)", "json"):
+        "2a9d636b41bba536131e73865b491c86d7b3b7056c39d1385c14f15b596ffeb3",
+    ("prod(C5,2O)", "text"):
+        "1354a1724a4ef7e8adb0bc3bef8358d45e9173c9c2607e3c128fa31a5d68f62c",
+    ("quat(q(1/2*r2,0,1/2*r2,0),q(1/2,-1/2,1/2,1/2))", "json"):
+        "1da831dea6e893866e0fdb3aff0cc7bda0fe6ee408ce86ca6b83ad59b8505054",
+    ("quat(q(1/2*r2,0,1/2*r2,0),q(1/2,-1/2,1/2,1/2))", "text"):
+        "ffd1bab27794ddf2168adeabed87fbf55a153726826fb62ab643cb03cb51f8dd",
 }
 
 
