@@ -9,7 +9,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CapExceeded,
@@ -86,8 +86,10 @@ class GroupSpec:
         raise ParseError(f"unknown spec kind {self.kind}", 0)
 
 
-def _quat_literal(q) -> str:
-    return "q({},{},{},{})".format(q.w, q.x, q.y, q.z)
+def _quat_literal(q: tuple) -> str:
+    from .quaternions import component
+
+    return "q({},{},{},{})".format(*(component(q, c) for c in range(4)))
 
 
 class _Parser:
@@ -164,8 +166,8 @@ class _Parser:
                 return GroupSpec(kind, params=tuple(params))
         raise self.error("expected a group spec")
 
-    def quaternion(self):
-        from .quaternions import Quaternion
+    def quaternion(self) -> tuple:
+        from .quaternions import quaternion
 
         self.skip_ws()
         if self.word() != "q":
@@ -176,17 +178,18 @@ class _Parser:
             self.expect(",")
             comps.append(self.component())
         self.expect(")")
-        d = 1
-        for c in comps:
-            if c.d != 1:
-                if d not in (1, c.d):
-                    raise self.error("mixed quadratic fields in quaternion")
-                d = c.d
-        return Quaternion.of(*comps, d=d)
+        tags = {d for _, d in comps} - {1}
+        if len(tags) > 1:
+            raise self.error("mixed quadratic fields in quaternion")
+        den = lcm(*(value.denominator for value, _ in comps))
+        nums = []
+        for value, d in comps:
+            num = value.numerator * (den // value.denominator)
+            nums += (num, 0) if d == 1 else (0, num)
+        return quaternion(nums, den, tags.pop() if tags else 1)
 
-    def component(self):
-        from .quaternions import QuadFieldElement
-
+    def component(self) -> tuple:
+        """(value, d): the rational value, or the root part of value*sqrt(d)."""
         self.skip_ws()
         value = self._signed_fraction()
         self.skip_ws()
@@ -195,9 +198,8 @@ class _Parser:
             tag = self.word()
             if tag not in ("r2", "r5"):
                 raise self.error("expected r2 or r5")
-            d = int(tag[1])
-            return QuadFieldElement.of(0, d, value)
-        return QuadFieldElement.of(value)
+            return value, int(tag[1])
+        return value, 1
 
     def _signed_fraction(self) -> Fraction:
         num = self.integer()

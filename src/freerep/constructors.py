@@ -161,8 +161,8 @@ def binary_polyhedral(kind: str, n: int | None = None) -> Group:
     """2T, 2O, 2I, or binary dihedral 2D_n.
 
     2T and 2I are delivered as SL2(F_3) and SL2(F_5); 2O is generated from
-    exact unit quaternions over Q(sqrt 2), its elements stored as integer
-    numerators over one denominator (see quaternions); 2D_n uses the dicyclic
+    exact unit quaternions over Q(sqrt 2), each element kept as one key of
+    ten integers (see quaternions); 2D_n uses the dicyclic
     presentation (R^(2n) = 1, T^2 = R^n, T R T^-1 = R^-1), order 4n.
     """
     kind = kind.upper()

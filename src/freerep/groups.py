@@ -39,6 +39,7 @@ class Group:
         "_fingerprint",
         "_center",
         "_commutator",
+        "_perfect_core",
         "_generators",
         "_sylow_profile",
         "_odd_core",
@@ -62,10 +63,11 @@ class Group:
         self.labels = list(labels) if labels is not None else None
         self.origin = origin
         self.factors = None  # set by direct_product for tensor dispatch
-        self.quaternions = None  # set by finite_quaternion_group
+        self.quaternions = None  # element keys, set by finite_quaternion_group
         # caches, filled on first use
         self._orders = self._classes = self._class_index = None
         self._fingerprint = self._center = self._commutator = None
+        self._perfect_core = None
         self._sylow_profile = None  # set by classify.sylow_profile
         self._odd_core = None  # set by classify.odd_core
         self.inverse = np.argmin(table, 1).astype(np.int32) if inverse is None else inverse
@@ -548,12 +550,14 @@ def derived_series(G: Group) -> list:
 
 
 def is_solvable(G: Group) -> bool:
-    return len(derived_series(G)[-1]) == 1
+    return len(perfect_core(G)) == 1
 
 
 def perfect_core(G: Group) -> Subgroup:
-    """Last term of the derived series (trivial iff solvable)."""
-    return derived_series(G)[-1]
+    """Last term of the derived series (trivial iff solvable), kept on G."""
+    if G._perfect_core is None:
+        G._perfect_core = derived_series(G)[-1]
+    return G._perfect_core
 
 
 def normal_closure(G: Group, seeds: Iterable[int]) -> Subgroup:

@@ -325,17 +325,18 @@ _SQRT = {1: (4, {}), 2: (8, {1: 1, -1: 1}), 5: (20, {0: 1, 4: 2, -4: 2})}
 
 def quaternion_embedding_rep(G: Group) -> Representation:
     """q = a+bi+cj+dk -> [[a+bi, c+di], [-c+di, a-bi]] over Q(zeta_4/8/20)."""
+    from .quaternions import integer_components
+
     if G.quaternions is None:
         raise NoQuaternionLabels(f"{G.origin} carries no quaternion labels")
-    n, sqrt_terms = _SQRT[G.quaternions[0].d]
+    # component (u + v*sqrt(tag)) / den of each quaternion, one den for all
+    rows, den, tag = integer_components(G.quaternions)
+    n, sqrt_terms = _SQRT[tag]
     zeta = _field(n)[0].astype(object)
     root = np.zeros_like(zeta[0])
     for power, c in sqrt_terms.items():
         root = root + c * zeta[power % n]
-    # component u + v*sqrt(tag) of each quaternion, over one denominator
-    parts = [(c.a, c.b) for q in G.quaternions for c in (q.w, q.x, q.y, q.z)]
-    den = lcm(1, *(f.denominator for uv in parts for f in uv))
-    uv = np.array([[int(u * den), int(v * den)] for u, v in parts], dtype=object)
+    uv = np.array(rows, dtype=object)
     a, b, c, d = (uv @ np.stack([zeta[0], root])).reshape(
         len(G.quaternions), 4, -1).swapaxes(0, 1)
     imag = _mult_blocks(zeta[n // 4], n).T  # v @ imag is zeta_4 * v

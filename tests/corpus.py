@@ -15,13 +15,8 @@ from freerep.constructors import (
     sd,
     sl2,
 )
-from freerep.quaternions import (
-    I,
-    J,
-    finite_quaternion_group,
-    hurwitz_tetrahedral_generators,
-)
-from so3 import binary_dihedral_generators
+from freerep.quaternions import finite_quaternion_group, hurwitz_tetrahedral_generators
+from so3 import I, J, binary_dihedral_generators, key
 
 
 def _orders_within(groups, low, high):
@@ -40,7 +35,7 @@ def quaternion_2t():
 
 @lru_cache(maxsize=None)
 def quaternion_q8():
-    return finite_quaternion_group([I, J])
+    return finite_quaternion_group([key(I), key(J)])
 
 
 @lru_cache(maxsize=None)
@@ -125,5 +120,5 @@ def two_group_corpus():
     groups += [direct_product(cyclic(2), cyclic(4)),
                direct_product(cyclic(2), cyclic(8)),
                quaternion_q8(),
-               finite_quaternion_group(binary_dihedral_generators(4))]
+               finite_quaternion_group([key(q) for q in binary_dihedral_generators(4)])]
     return _orders_within(groups, 8, 64)

@@ -14,7 +14,8 @@ from group_theory import all_subgroups, is_abelian, normal_subgroups, quotient_g
 from isomorphism import is_isomorphic
 from freerep.cyclotomic import prime_factors
 from freerep.errors import NotCycloidal, NotSylowCyclic
-from freerep.groups import build_group
+from freerep.cli import parse_group_spec
+from freerep.groups import build_group, derived_series
 from freerep.constructors import (
     binary_polyhedral,
     cyclic,
@@ -63,6 +64,22 @@ def test_classify_computes_the_profile_and_the_odd_core_once(monkeypatch):
     sylow_profile(G)
     odd_core(G)
     assert in_classify == calls
+
+
+@pytest.mark.parametrize("spec", ["sd(7,9,2)", "C840", "2O", "prod(C7,SL2(5))"])
+def test_classify_computes_the_derived_series_once(spec, monkeypatch):
+    # cycloidal_type asks whether G is solvable and is_freely_representable
+    # for its perfect core: both read the one derived series of G (the
+    # Suzuki-Zassenhaus check of prod(C7,SL2(5)) adds the series of C7)
+    steps = len(derived_series(parse_group_spec(spec).build())) - 1
+    groups_module = importlib.import_module("freerep.groups")
+    calls = []
+    real = groups_module.commutator_of_subgroup
+    monkeypatch.setattr(groups_module, "commutator_of_subgroup",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    G = parse_group_spec(spec).build()
+    classify(G)
+    assert sum(H is G for H in calls) == steps
 
 
 def s4():

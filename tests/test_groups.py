@@ -374,10 +374,10 @@ def _binary_tetrahedral_by_hand():
 
 def test_q16_presentation_vs_quaternion_units():
     from freerep.quaternions import finite_quaternion_group
-    from so3 import binary_dihedral_generators
+    from so3 import binary_dihedral_generators, key
 
     G = generalized_quaternion(16)
-    H = finite_quaternion_group(binary_dihedral_generators(4))
+    H = finite_quaternion_group([key(q) for q in binary_dihedral_generators(4)])
     phi = is_isomorphic(G, H)
     assert phi is not None and phi.is_bijective()
 

@@ -35,7 +35,17 @@ import pytest
 
 from corpus import octahedral_2o, sd_triples, structural_corpus
 from group_theory import all_subgroups, quotient_group
-from so3 import binary_dihedral_generators, order10_icosian
+from so3 import (
+    ONE,
+    I,
+    J,
+    _common_tag,
+    binary_dihedral_generators,
+    key,
+    order10_icosian,
+    quat,
+    quaternion_of,
+)
 from test_classify import _sl2_5_extended_by_r
 from test_properties import (
     BIG_ORDERS,
@@ -61,7 +71,7 @@ from freerep.classify import (
     odd_core,
     sylow_profile,
 )
-from freerep.cli import parse_group_spec
+from freerep.cli import _quat_literal, parse_group_spec
 from freerep.constructors import (
     binary_polyhedral,
     cyclic,
@@ -103,16 +113,13 @@ from freerep.groups import (
 )
 from freerep.represent import _discrete_log
 from freerep.quaternions import (
-    ONE,
     QUATERNION_CAP,
-    I,
-    J,
-    _common_tag,
     binary_icosahedral_generators,
     binary_octahedral_generators,
+    component,
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
-    quat,
+    label,
 )
 
 
@@ -461,38 +468,54 @@ def _quaternion_group_by_fractions(gens):
     return table, elems
 
 
+PARSED_QUATERNIONS = "quat(q(1/2*r2,0,1/2*r2,0),q(1/2,-1/2,1/2,1/2))"
+
+# name -> generator keys, as finite_quaternion_group takes them
 QUATERNION_GENERATORS = {
     "2T": hurwitz_tetrahedral_generators(),
     "2O": binary_octahedral_generators(),
     "2I": binary_icosahedral_generators(),
-    "Q8": [I, J],
-    "2D4": binary_dihedral_generators(4),
-    "order10_icosian": [order10_icosian()],
-    "parsed": parse_group_spec("quat(q(1/2*r2,0,1/2*r2,0),q(1/2,-1/2,1/2,1/2))").params,
+    "Q8": [key(I), key(J)],
+    "2D4": [key(q) for q in binary_dihedral_generators(4)],
+    "order10_icosian": [key(order10_icosian())],
+    "parsed": parse_group_spec(PARSED_QUATERNIONS).params,
 }
 
 
 @pytest.mark.parametrize("name", QUATERNION_GENERATORS)
 def test_quaternion_group_matches_the_fraction_closure(name):
     gens = list(QUATERNION_GENERATORS[name])
-    table, elems = _quaternion_group_by_fractions(gens)
+    table, elems = _quaternion_group_by_fractions([quaternion_of(g) for g in gens])
     G = finite_quaternion_group(gens)
     assert np.array_equal(G.table, table)
-    assert G.quaternions == elems
+    assert G.quaternions == [key(q) for q in elems]
     assert G.labels == [str(q) for q in elems]
+    assert [quaternion_of(key(q)) for q in elems] == elems
+    if name in ("2T", "2O", "2I"):
+        for k, q in zip(G.quaternions, elems):
+            assert label(k) == str(q)
+            assert [component(k, c) for c in range(4)] == \
+                [str(q.w), str(q.x), str(q.y), str(q.z)]
+    if name == "parsed":
+        spec = parse_group_spec(PARSED_QUATERNIONS)
+        assert spec.canonical() == PARSED_QUATERNIONS
+        assert [_quat_literal(g) for g in gens] == [
+            "q({},{},{},{})".format(q.w, q.x, q.y, q.z)
+            for q in map(quaternion_of, gens)]
+        assert parse_group_spec(spec.canonical()) == spec
 
 
 def test_quaternion_group_rejects_a_non_unit_generator():
-    with pytest.raises(NotUnit):
-        finite_quaternion_group([quat(1, 1, 0, 0)])
-    with pytest.raises(NotUnit):
+    with pytest.raises(NotUnit, match="generator 1\\+1i is not a unit"):
+        finite_quaternion_group([key(quat(1, 1, 0, 0))])
+    with pytest.raises(NotUnit, match="generator 1\\+1i is not a unit"):
         _quaternion_group_by_fractions([quat(1, 1, 0, 0)])
 
 
 def test_quaternion_group_of_infinite_order_exceeds_the_cap():
     gens = [quat(Fraction(3, 5), Fraction(4, 5))]
     with pytest.raises(CapExceeded):
-        finite_quaternion_group(gens)
+        finite_quaternion_group([key(q) for q in gens])
     with pytest.raises(CapExceeded):
         _quaternion_group_by_fractions(gens)
 

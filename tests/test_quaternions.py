@@ -10,24 +10,26 @@ from isomorphism import is_isomorphic
 from freerep.errors import BadParams, NotUnit
 from freerep.constructors import cyclic, generalized_quaternion, sl2
 from so3 import (
-    NotQuaternionGroup,
-    binary_dihedral_generators,
-    identify_so3_image,
-    is_one,
-    order10_icosian,
-    rotation_of,
-)
-from freerep.quaternions import (
     I,
     J,
     K,
     ONE,
+    NotQuaternionGroup,
     QuadFieldElement,
+    binary_dihedral_generators,
+    identify_so3_image,
+    is_one,
+    key,
+    order10_icosian,
+    quat,
+    quaternion_of,
+    rotation_of,
+)
+from freerep.quaternions import (
     binary_icosahedral_generators,
     binary_octahedral_generators,
     finite_quaternion_group,
     hurwitz_tetrahedral_generators,
-    quat,
 )
 
 
@@ -121,7 +123,7 @@ def test_rotation_requires_unit():
 # -- finite quaternion groups ----------------------------------------------------
 
 def test_ij_generate_q8():
-    G = finite_quaternion_group([I, J])
+    G = finite_quaternion_group([key(I), key(J)])
     assert G.order == 8
     assert is_isomorphic(G, generalized_quaternion(8)) is not None
 
@@ -166,23 +168,23 @@ def _closure_by_products(gens):
                          ids=["2T", "2O", "2I"])
 def test_table_from_right_multiplications_matches_products(gens):
     G = finite_quaternion_group(gens)
-    elems, table = _closure_by_products([g.lift(G.quaternions[0].d)
-                                         for g in gens])
-    assert G.quaternions == elems
+    d = quaternion_of(G.quaternions[0]).d
+    elems, table = _closure_by_products([quaternion_of(g).lift(d) for g in gens])
+    assert G.quaternions == [key(q) for q in elems]
     assert G.table.tolist() == table
 
 
 def test_quaternion_groups_have_unique_involution():
     for gens in (hurwitz_tetrahedral_generators(),
                  binary_octahedral_generators(),
-                 [I, J]):
+                 [key(I), key(J)]):
         G = finite_quaternion_group(gens)
         assert G.element_orders().count(2) == 1
 
 
 def test_binary_dihedral_generators_match_presentation():
     for n in (2, 4):
-        G = finite_quaternion_group(binary_dihedral_generators(n))
+        G = finite_quaternion_group([key(q) for q in binary_dihedral_generators(n)])
         assert G.order == 4 * n
         assert is_isomorphic(G, generalized_quaternion(4 * n)) is not None
     with pytest.raises(BadParams):
@@ -192,7 +194,7 @@ def test_binary_dihedral_generators_match_presentation():
 # -- identify_so3_image -----------------------------------------------------------
 
 def test_q8_image_is_klein_four():
-    G = finite_quaternion_group([I, J])
+    G = finite_quaternion_group([key(I), key(J)])
     ident = identify_so3_image(G)
     assert ident.kind == "binary_dihedral"
     assert ident.parameter == 2
@@ -201,7 +203,7 @@ def test_q8_image_is_klein_four():
 
 def test_cyclic_order10_image_order5():
     q = order10_icosian()
-    G = finite_quaternion_group([q])
+    G = finite_quaternion_group([key(q)])
     assert G.order == 10
     ident = identify_so3_image(G)
     assert ident.kind == "cyclic"
@@ -216,7 +218,7 @@ def test_2o_image_is_octahedral():
 
 
 def test_2d4_image_is_dihedral4():
-    G = finite_quaternion_group(binary_dihedral_generators(4))
+    G = finite_quaternion_group([key(q) for q in binary_dihedral_generators(4)])
     ident = identify_so3_image(G)
     assert ident.kind == "binary_dihedral"
     assert ident.parameter == 4
@@ -232,7 +234,7 @@ def test_2t_and_2i_images():
 def test_odd_cyclic_no_minus_one_injective():
     # order-5 subgroup: square of the order-10 icosian
     q = order10_icosian()
-    G = finite_quaternion_group([q * q])
+    G = finite_quaternion_group([key(q * q)])
     assert G.order == 5
     ident = identify_so3_image(G)
     assert ident.kind == "cyclic" and ident.image_order == 5
@@ -248,7 +250,7 @@ def test_double_cover_kernel_and_preimage_order():
     G = finite_quaternion_group(hurwitz_tetrahedral_generators())
     keys = {}
     for idx, q in enumerate(G.quaternions):
-        keys.setdefault(rotation_of(q).key(), []).append(idx)
+        keys.setdefault(rotation_of(quaternion_of(q)).key(), []).append(idx)
     fibers = set(map(len, keys.values()))
     assert fibers == {2}  # two-to-one everywhere
     assert len(keys) == G.order // 2

@@ -47,9 +47,8 @@ from freerep.quaternions import (
     hurwitz_tetrahedral_generators,
     binary_icosahedral_generators,
     binary_octahedral_generators,
-    I,
-    J,
 )
+from so3 import I, J, Quaternion, key, quaternion_of
 from freerep.represent import (
     RepMatrix,
     Representation,
@@ -233,11 +232,11 @@ def test_induced_rejects_unfaithful_exponent():
 # -- quaternion embedding ------------------------------------------------------------
 
 def test_q8_embedding():
-    G = finite_quaternion_group([I, J])
+    G = finite_quaternion_group([key(I), key(J)])
     rep = quaternion_embedding_rep(G)
     assert rep.degree == 2 and rep.conductor == 4
     # i maps to diag(i, -i)
-    idx = G.quaternions.index(I)
+    idx = G.quaternions.index(key(I))
     m = rep.images[idx]
     assert entries(m)[0][0] == CyclotomicNumber.zeta(4)
     assert entries(m)[1][1] == -CyclotomicNumber.zeta(4)
@@ -279,7 +278,7 @@ def test_tensor_c2_c3():
 
 
 def test_tensor_q8_c7():
-    G8, C7 = finite_quaternion_group([I, J]), cyclic(7)
+    G8, C7 = finite_quaternion_group([key(I), key(J)]), cyclic(7)
     rep = tensor_product_rep(quaternion_embedding_rep(G8), scalar_representation(C7),
                              direct_product(G8, C7))
     assert rep.degree == 2
@@ -291,7 +290,7 @@ def test_tensor_of_two_nonscalar_reps_is_the_kronecker_product():
     # degrees 2 and 3, so the row and column order of the Kronecker index
     # matters; both argument orders, so both factors serve as the one whose
     # multiplication blocks are built
-    q8 = quaternion_embedding_rep(finite_quaternion_group([I, J]))
+    q8 = quaternion_embedding_rep(finite_quaternion_group([key(I), key(J)]))
     F21 = sd(7, 3, 2)
     a7 = next(g for g in range(21) if element_order(F21, g) == 7)
     mono = induced_representation(F21, subgroup_generated(F21, [a7]), 1)
@@ -420,12 +419,12 @@ def test_build_unsupported_bt_type_with_9():
         is_freely_representable,
     )
     from freerep.groups import build_group
-    from freerep.quaternions import Quaternion
 
-    Q = finite_quaternion_group([I, J])
+    Q = finite_quaternion_group([key(I), key(J)])
     index = {q: i for i, q in enumerate(Q.quaternions)}
     # automorphism i -> j -> k -> i on quaternion coordinates
-    alpha = [index[Quaternion(q.w, q.z, q.x, q.y)] for q in Q.quaternions]
+    alpha = [index[key(Quaternion(q.w, q.z, q.x, q.y))]
+             for q in map(quaternion_of, Q.quaternions)]
     alpha_pow = [list(range(8)), alpha, [alpha[alpha[i]] for i in range(8)]]
 
     def mult(a, b):
@@ -501,11 +500,11 @@ def test_representation_json():
 
 
 def test_representation_json_sparse_cyclotomic_entries():
-    G = finite_quaternion_group([I, J])
+    G = finite_quaternion_group([key(I), key(J)])
     rep = quaternion_embedding_rep(G)
     data = rep.to_json()
     # the image of i is diag(i, -i): two sparse entries with vector coeffs
-    idx = G.quaternions.index(I)
+    idx = G.quaternions.index(key(I))
     entries = data["images"][idx]
     assert len(entries) == 2
     for i, j, coeffs in entries:
